@@ -132,13 +132,15 @@ void BM_CorfuAppendScaling(benchmark::State& state) {
 }
 
 void RegisterAll() {
-  for (int backend = 0; backend < 3; ++backend) {
+  // E9 compares all three index backends, storage::LsmTree (kLsm) included.
+  for (storage::KvBackend backend :
+       {storage::KvBackend::kBTree, storage::KvBackend::kLsm, storage::KvBackend::kHash}) {
     for (int64_t write_pct : {50, 5, 0}) {
       const char* mix = write_pct == 50 ? "A" : write_pct == 5 ? "B" : "C";
       benchmark::RegisterBenchmark((std::string("E9/YCSB-") + mix + "/" +
-              std::string(storage::KvBackendName(static_cast<storage::KvBackend>(backend)))).c_str(),
+              std::string(storage::KvBackendName(backend))).c_str(),
           BM_Ycsb)
-          ->Args({backend, write_pct})
+          ->Args({static_cast<int64_t>(backend), write_pct})
           ->Iterations(300);
     }
   }

@@ -3,9 +3,9 @@
 //
 // Three DPUs share a fabric with one client. The client holds all the
 // smartness (passive disaggregation): it hash-partitions a KV space across
-// the rack, and runs a Boxwood/CORFU-style replicated shared log with
-// write-all/read-one plus on-read repair — surviving the loss of a
-// replica's media without any coordination service.
+// the rack. A Corfu chain-replicated KV group then loses its head mid-run
+// and fails over without any coordination service: the clients seal the
+// chain, repair its tail and lose no acknowledged write.
 //
 //   ./build/examples/distributed
 
@@ -13,6 +13,7 @@
 
 #include "src/dpu/distributed.h"
 #include "src/dpu/hyperion.h"
+#include "src/dpu/replication.h"
 #include "src/dpu/services.h"
 
 using namespace hyperion;  // NOLINT
@@ -56,27 +57,27 @@ int main() {
   std::printf("  get(123) -> %llu (from DPU %zu)\n\n",
               static_cast<unsigned long long>(GetU64(*sample, 0)), kv.PartitionOf(123));
 
-  // ---- replicated shared log ---------------------------------------------------
-  dpu::ReplicatedLogClient log(rack);
-  for (int i = 0; i < 5; ++i) {
-    Bytes entry = ToBytes("txn-record-" + std::to_string(i));
-    CHECK_OK(log.Append(ByteSpan(entry.data(), entry.size())).status());
-  }
-  std::printf("replicated log: 5 entries written to all 3 replicas\n");
-
-  // Destroy replica 0's copy of position 2 (media loss).
-  const mem::SegmentId victim(0xC0F0000000000300ull, 2);
-  CHECK_OK(dpus[0]->store().Delete(victim));
-  std::printf("  simulated media loss: replica 0 lost position 2\n");
-
-  auto recovered = log.Read(2);
-  CHECK_OK(recovered.status());
-  std::printf("  read(2) -> \"%s\" (read-one fallback; %llu replica repaired)\n",
-              ToString(ByteSpan(recovered->data(), recovered->size())).c_str(),
-              static_cast<unsigned long long>(log.repairs()));
-  auto verify = services[0]->log().Read(2);
-  std::printf("  replica 0 now holds position 2 again: %s\n",
-              verify.ok() ? "yes" : "no");
+  // ---- chain-replicated KV with a failover -------------------------------------
+  dpu::RepClusterOptions rep;
+  rep.groups = 1;
+  rep.replicas_per_group = 3;
+  rep.workload.clients_per_node = 2;
+  rep.workload.ops_per_client = 8;
+  rep.workload.key_space = 48;
+  rep.workload.seed = 33;
+  rep.kill_node = 0;  // the chain head, which is also the sequencer
+  rep.kill_after_ns = 60 * sim::kMicrosecond;
+  dpu::ReplicatedKvCluster replicated(rep);
+  const dpu::RepClusterResult result = replicated.Run();
+  const dpu::RepAudit audit = replicated.AuditAckedWrites();
+  CHECK(audit.ok());
+  std::printf("chain-replicated KV: 1 group x 3 replicas, head killed 60 us into the run\n");
+  std::printf("  %llu ops acked, %llu failed, %llu client-driven failovers\n",
+              static_cast<unsigned long long>(result.ok_puts + result.ok_gets),
+              static_cast<unsigned long long>(result.failed_ops),
+              static_cast<unsigned long long>(result.failovers));
+  std::printf("  audit: all %llu acked writes present on every live replica\n",
+              static_cast<unsigned long long>(audit.acked));
 
   std::printf("\nClients carry the distribution logic; DPUs only serve the fast path —\n"
               "the passive-disaggregation division of labor the paper argues for.\n");

@@ -3,55 +3,12 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/obs/export.h"
 
 namespace hyperion::dpu {
 
-namespace {
-
-HyperionConfig NodeConfig(const ClusterOptions& options) {
-  HyperionConfig config;
-  config.nvme_devices = options.nvme_devices;
-  config.lbas_per_device = options.lbas_per_device;
-  config.dram_bytes = options.dram_bytes;
-  config.hbm_bytes = options.hbm_bytes;
-  config.link_gbps = options.fabric.default_link_gbps;
-  return config;
-}
-
-}  // namespace
-
-KvCluster::Node::Node(KvCluster* cluster, uint32_t id, uint32_t shard)
-    : id(id),
-      shard(shard),
-      fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, NodeConfig(cluster->options_)),
-      rng(cluster->options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {
-  CHECK(dpu.Boot().ok());
-  auto installed = HyperionServices::Install(&dpu, cluster->options_.backend);
-  CHECK(installed.ok());
-  services = std::move(*installed);
-  // Registering the endpoint here — inside id-ordered node construction —
-  // pins the logical source order that breaks cross-shard timestamp ties,
-  // independent of the shard layout.
-  endpoint = std::make_unique<ShardedRpcNode>(&cluster->engine(), shard, &dpu.rpc(), &clock,
-                                              cluster->options_.fabric,
-                                              cluster->options_.fabric.default_link_gbps);
-  if (cluster->options_.trace) {
-    // Origin = node id: logical identity, stable across shard layouts.
-    tracer = std::make_unique<obs::Tracer>(id);
-    dpu.InstallTracer(tracer.get());
-    endpoint->SetTracer(tracer.get());
-  }
-  clients.resize(cluster->options_.workload.clients_per_node,
-                 Client{cluster->options_.workload.ops_per_client});
-}
-
-KvCluster::KvCluster(const ClusterOptions& options) : options_(options) {
-  CHECK_GT(options_.num_nodes, 0u);
-  if (options_.num_shards == 0 || options_.num_shards > options_.num_nodes) {
-    options_.num_shards = options_.num_nodes;
-  }
+KvCluster::KvCluster(const ClusterOptions& options)
+    : options_(options),
+      fleet_(options.num_nodes, options.num_shards, options.use_threads) {
   CHECK_GT(options_.workload.value_bytes, 0u);
   CHECK_GT(options_.workload.key_space, 0u);
 
@@ -60,57 +17,54 @@ KvCluster::KvCluster(const ClusterOptions& options) : options_(options) {
     value_[i] = static_cast<uint8_t>(i * 31 + 7);
   }
 
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
-
   nodes_.reserve(options_.num_nodes);
-  for (uint32_t id = 0; id < options_.num_nodes; ++id) {
-    nodes_.push_back(std::make_unique<Node>(this, id, ShardOf(id)));
-  }
   std::vector<ShardedRpcNode*> partitions;
-  partitions.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    partitions.push_back(node->endpoint.get());
+  for (uint32_t id = 0; id < options_.num_nodes; ++id) {
+    Node& node = nodes_.emplace_back(options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)),
+                                     options_.workload.clients_per_node,
+                                     options_.workload.ops_per_client);
+    const Fleet::Node& booted = fleet_.AddDpu(
+        Fleet::NodeConfig(),
+        [&](Fleet::Node& dpu_node) {
+          auto installed = HyperionServices::Install(dpu_node.dpu.get(), options_.backend);
+          CHECK(installed.ok());
+          node.services = std::move(*installed);
+        },
+        options_.trace);
+    partitions.push_back(booted.endpoint.get());
   }
-  for (auto& node : nodes_) {
-    node->kv = std::make_unique<ShardedKvClient>(node->endpoint.get(), partitions);
+  for (uint32_t id = 0; id < options_.num_nodes; ++id) {
+    nodes_[id].kv = std::make_unique<ShardedKvClient>(fleet_.node(id).endpoint.get(), partitions);
   }
 }
 
 KvCluster::~KvCluster() = default;
-
-uint32_t KvCluster::ShardOf(uint32_t node) const {
-  // Contiguous blocks: halving the shard count merges neighbouring shards
-  // without reordering the nodes inside them.
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / options_.num_nodes);
-}
 
 void KvCluster::Preload() {
   // Load every key directly into its owner's store (no virtual wire): the
   // measured phase then runs read-mostly traffic against a warm cluster.
   const ByteSpan value(value_.data(), value_.size());
   for (uint64_t key = 0; key < options_.workload.key_space; ++key) {
-    Node& owner = *nodes_[KvPartitionOf(key, nodes_.size())];
+    Node& owner = nodes_[KvPartitionOf(key, nodes_.size())];
     CHECK(owner.services->kv().Put(key, value).ok());
   }
 }
 
-void KvCluster::IssueOp(Node& node, uint32_t client) {
+void KvCluster::IssueOp(uint32_t id, uint32_t client) {
+  Node& node = nodes_[id];
   Client& state = node.clients[client];
   CHECK_GT(state.remaining, 0u);
   --state.remaining;
   const ClusterWorkload& workload = options_.workload;
   const uint64_t key = node.rng.Uniform(workload.key_space);
   const bool write = node.rng.Uniform(100) < workload.write_pct;
-  const sim::SimTime issued = engine_->shard(node.shard).Now();
+  sim::Engine& shard = fleet_.shard_engine(id);
+  const sim::SimTime issued = shard.Now();
   // Closed loop: the completion records the op and immediately issues the
   // client's next one, so per-client concurrency stays at 1 and offered
   // load scales with clients_per_node.
-  auto finish = [this, &node, client, issued](bool ok) {
-    const sim::SimTime now = engine_->shard(node.shard).Now();
+  auto finish = [this, &node, &shard, id, client, issued](bool ok) {
+    const sim::SimTime now = shard.Now();
     node.latency.Record(now - issued);
     if (ok) {
       ++node.ok_ops;
@@ -119,7 +73,7 @@ void KvCluster::IssueOp(Node& node, uint32_t client) {
     }
     node.last_completion = std::max(node.last_completion, now);
     if (node.clients[client].remaining > 0) {
-      IssueOp(node, client);
+      IssueOp(id, client);
     }
   };
   if (write) {
@@ -135,47 +89,34 @@ ClusterResult KvCluster::Run() {
   ran_ = true;
   Preload();
   // Clients start once the slowest node has drained boot + preload from its
-  // pipeline — latency then measures wire + service, not boot backlog. The
-  // base is layout-invariant (boot and preload never touch shard engines).
-  sim::SimTime start_base = 0;
-  for (const auto& node : nodes_) {
-    start_base = std::max(start_base, node->clock.Now());
+  // pipeline — latency then measures wire + service, not boot backlog.
+  const sim::SimTime start_base = fleet_.StartBase();
+  if (options_.workload.ops_per_client > 0) {
+    fleet_.KickClients(start_base, options_.workload.clients_per_node,
+                       [this](uint32_t id, uint32_t client) { IssueOp(id, client); });
   }
-  start_base += 1000;
-  // Kick every client at a distinct virtual time: distinct timestamps need
-  // no tie-break, so the startup order is trivially layout-invariant.
-  const ClusterWorkload& workload = options_.workload;
-  for (uint32_t id = 0; id < nodes_.size(); ++id) {
-    Node& node = *nodes_[id];
-    for (uint32_t client = 0; client < workload.clients_per_node; ++client) {
-      if (node.clients[client].remaining == 0) {
-        continue;
-      }
-      const sim::SimTime start =
-          start_base + (uint64_t{id} * workload.clients_per_node + client) * 7;
-      engine_->shard(node.shard).ScheduleAt(
-          start, [this, &node, client] { IssueOp(node, client); });
-    }
-  }
-  engine_->Run();
+  sim::ParallelEngine& engine = fleet_.engine();
+  engine.Run();
 
   ClusterResult result;
-  result.events_run = engine_->stats().events_run;
-  result.messages = engine_->stats().messages;
+  result.events_run = engine.stats().events_run;
+  result.messages = engine.stats().messages;
   result.start_ns = start_base;
   result.nodes.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    result.ok_ops += node->ok_ops;
-    result.failed_ops += node->failed_ops;
-    if (node->last_completion > start_base) {
-      result.makespan_ns = std::max(result.makespan_ns, node->last_completion - start_base);
+  for (uint32_t id = 0; id < nodes_.size(); ++id) {
+    const Node& node = nodes_[id];
+    const Fleet::Node& fleet_node = fleet_.node(id);
+    result.ok_ops += node.ok_ops;
+    result.failed_ops += node.failed_ops;
+    if (node.last_completion > start_base) {
+      result.makespan_ns = std::max(result.makespan_ns, node.last_completion - start_base);
     }
-    merged_latency_.Merge(node->latency);
+    merged_latency_.Merge(node.latency);
     ClusterNodeResult per_node;
-    per_node.node_clock_ns = node->clock.Now();
-    per_node.rpcs_served = node->endpoint->counters().Get("rpc_async_served");
-    per_node.ok_ops = node->ok_ops;
-    per_node.failed_ops = node->failed_ops;
+    per_node.node_clock_ns = fleet_node.clock.Now();
+    per_node.rpcs_served = fleet_node.endpoint->counters().Get("rpc_async_served");
+    per_node.ok_ops = node.ok_ops;
+    per_node.failed_ops = node.failed_ops;
     result.nodes.push_back(per_node);
   }
   result.latency_count = merged_latency_.count();
@@ -183,26 +124,6 @@ ClusterResult KvCluster::Run() {
   result.latency_p99_ns = merged_latency_.P99();
   result.latency_max_ns = merged_latency_.max();
   return result;
-}
-
-std::vector<obs::SpanRecord> KvCluster::MergedTrace() const {
-  std::vector<const obs::Tracer*> tracers;
-  tracers.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    if (node->tracer != nullptr) {
-      tracers.push_back(node->tracer.get());
-    }
-  }
-  return obs::Tracer::Merged(tracers);
-}
-
-void KvCluster::SnapshotMetrics(obs::MetricsRegistry* registry) const {
-  for (const auto& node : nodes_) {
-    registry->ImportCounters(obs::Subsystem::kRpc, node->endpoint->counters());
-    registry->ImportCounters(obs::Subsystem::kRpc, node->dpu.rpc().counters());
-    registry->ImportCounters(obs::Subsystem::kNvme, node->dpu.nvme().counters());
-  }
-  obs::ImportParallelStats(registry, engine_->stats());
 }
 
 }  // namespace hyperion::dpu

@@ -10,11 +10,11 @@
 //   * Keys hash-partition across nodes with the same placement the
 //     synchronous DistributedKvClient uses; an op whose owner is another
 //     node crosses shards as a serialized RPC frame (ShardedRpcNode).
-//   * `num_shards` maps nodes onto shards in contiguous blocks. The result
-//     snapshot is bit-identical for any shard count and with threads on or
-//     off — tests/cluster_test.cc pins num_shards in {1, 2, 4} — because
-//     nodes share no mutable state and cross-node messages merge in
-//     (time, source, seq) order.
+//   * The nodes form a dpu::Fleet, which maps them onto `num_shards`
+//     shards in contiguous blocks. The result snapshot is bit-identical for
+//     any shard count and with threads on or off — tests/cluster_test.cc
+//     pins num_shards in {1, 2, 4} — because nodes share no mutable state
+//     and cross-node messages merge in (time, source, seq) order.
 //
 // bench_cluster_scaling uses it for the netkv scaling experiment; the
 // determinism regression uses the ClusterResult snapshot.
@@ -28,11 +28,10 @@
 
 #include "src/common/rng.h"
 #include "src/dpu/distributed.h"
-#include "src/dpu/hyperion.h"
+#include "src/dpu/fleet.h"
 #include "src/dpu/services.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/parallel.h"
 #include "src/sim/stats.h"
 
 namespace hyperion::dpu {
@@ -48,14 +47,10 @@ struct ClusterWorkload {
 
 struct ClusterOptions {
   uint32_t num_nodes = 4;
-  // 0 defaults to one shard per node (full spatial parallelism). Nodes map
-  // to shards in contiguous blocks so the (time, source, seq) merge order
-  // is independent of the shard count.
+  // 0 defaults to one shard per node (full spatial parallelism).
   uint32_t num_shards = 0;
   bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
   storage::KvBackend backend = storage::KvBackend::kBTree;
-  net::FabricParams fabric;  // wire model for cross-node frames
   ClusterWorkload workload;
   // Distributed tracing: every node gets an obs::Tracer whose origin is the
   // node id (a logical identity — never the shard index), wired into the
@@ -64,13 +59,6 @@ struct ClusterOptions {
   // is unaffected either way (trace context rides frames as unmodelled
   // metadata).
   bool trace = false;
-  // Trimmed per-node DPU: the cluster experiments care about communication
-  // structure, not per-node capacity, and eight full-size nodes would pay
-  // construction time for memory the workload never touches.
-  uint32_t nvme_devices = 1;
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 64ull << 20;
-  uint64_t hbm_bytes = 16ull << 20;
 };
 
 // Everything observable a run produces, in deterministic form: equality
@@ -111,12 +99,11 @@ class KvCluster {
   KvCluster& operator=(const KvCluster&) = delete;
   ~KvCluster();
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
-  uint32_t num_shards() const { return engine_->num_shards(); }
-  uint32_t ShardOf(uint32_t node) const;
+  uint32_t num_nodes() const { return fleet_.num_nodes(); }
+  uint32_t num_shards() const { return fleet_.num_shards(); }
+  uint32_t ShardOf(uint32_t node) const { return fleet_.ShardOf(node); }
 
-  sim::ParallelEngine& engine() { return *engine_; }
-  ShardedRpcNode& endpoint(uint32_t node) { return *nodes_[node]->endpoint; }
+  sim::ParallelEngine& engine() { return fleet_.engine(); }
 
   // Runs the closed-loop workload to quiescence and snapshots the result.
   // One-shot: construct a fresh cluster per run.
@@ -127,33 +114,24 @@ class KvCluster {
 
   // Per-node tracer (null unless options.trace) and the deterministic
   // cross-node merge — (begin, origin, id) order, the golden-trace oracle.
-  const obs::Tracer* tracer(uint32_t node) const { return nodes_[node]->tracer.get(); }
-  std::vector<obs::SpanRecord> MergedTrace() const;
+  const obs::Tracer* tracer(uint32_t node) const { return fleet_.node(node).tracer.get(); }
+  std::vector<obs::SpanRecord> MergedTrace() const { return fleet_.MergedTrace(); }
 
   // Cluster-wide metrics: per-node RPC/endpoint counters and the parallel
   // engine's tallies imported into `registry` under stable names.
-  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
+  void SnapshotMetrics(obs::MetricsRegistry* registry) const { fleet_.SnapshotMetrics(registry); }
 
  private:
   struct Client {
     uint32_t remaining = 0;
   };
 
-  // One simulated DPU node: private clock, full Hyperion, its shard
-  // endpoint, and the colocated client population. Nodes interact only
-  // through ShardedRpcNode messages — no shared mutable state, which is
-  // what makes the shard layout unobservable.
+  // The KV tenant on one fleet node: its services, its sharded KV client
+  // and the colocated client population.
   struct Node {
-    Node(KvCluster* cluster, uint32_t id, uint32_t shard);
-
-    uint32_t id;
-    uint32_t shard;
-    sim::Engine clock;  // private cost engine (never holds events)
-    net::Fabric fabric;
-    Hyperion dpu;
-    std::unique_ptr<obs::Tracer> tracer;  // origin = node id; null untraced
+    Node(uint64_t seed, uint32_t clients, uint32_t ops_per_client)
+        : rng(seed), clients(clients, Client{ops_per_client}) {}
     std::unique_ptr<HyperionServices> services;
-    std::unique_ptr<ShardedRpcNode> endpoint;
     std::unique_ptr<ShardedKvClient> kv;
     Rng rng;
     sim::Histogram latency;
@@ -164,12 +142,12 @@ class KvCluster {
   };
 
   void Preload();
-  void IssueOp(Node& node, uint32_t client);
+  void IssueOp(uint32_t id, uint32_t client);
 
   ClusterOptions options_;
   Bytes value_;  // shared value pattern for puts
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  Fleet fleet_;
+  std::vector<Node> nodes_;  // indexed by node id
   sim::Histogram merged_latency_;
   bool ran_ = false;
 };

@@ -3,18 +3,17 @@
 // distributed applications ... of such standalone, passively disaggregated
 // DPUs?").
 //
-// Both clients follow the passive-disaggregation doctrine: the *client*
-// holds the smartness (partitioning, replication, failure fallback) and the
-// DPUs serve only fast datapath requests.
+// The clients follow the passive-disaggregation doctrine: the *client*
+// holds the smartness (partitioning, failure fallback) and the DPUs serve
+// only fast datapath requests.
 //
 //   DistributedKvClient  client-driven request routing (MICA [111] style):
 //                        keys hash-partition across N DPUs; every op is a
 //                        single RPC to the owning partition.
-//   ReplicatedLogClient  Boxwood/CORFU-style fault-tolerant shared log:
-//                        positions come from the sequencer DPU; data is
-//                        written to all R replicas (write-all), reads try
-//                        replicas in order (read-one with fallback), and a
-//                        damaged replica is repaired from a healthy one.
+//   ShardedKvClient      its asynchronous twin on the sharded simulation.
+//
+// Fault-tolerant replication lives in src/dpu/replication.h (Corfu chain
+// replication with client-driven failover).
 
 #ifndef HYPERION_SRC_DPU_DISTRIBUTED_H_
 #define HYPERION_SRC_DPU_DISTRIBUTED_H_
@@ -81,31 +80,6 @@ class ShardedKvClient {
 
   ShardedRpcNode* self_;
   std::vector<ShardedRpcNode*> partitions_;
-};
-
-class ReplicatedLogClient {
- public:
-  // replicas[0] doubles as the sequencer. Requires >= 1 replica.
-  explicit ReplicatedLogClient(std::vector<RpcClient*> replicas)
-      : replicas_(std::move(replicas)) {}
-
-  // Reserves a position at the sequencer, then writes it to every replica.
-  // Fails (and fills the position on the replicas already written) if any
-  // replica rejects — write-all gives read-one.
-  Result<uint64_t> Append(ByteSpan data);
-
-  // Reads `position`, trying replicas in order; a replica returning
-  // data-loss or not-found is skipped. After a successful fallback read the
-  // damaged replica is repaired with a write-once put of the good data.
-  Result<Buffer> Read(uint64_t position);
-
-  uint64_t repairs() const { return repairs_; }
-
- private:
-  Result<RpcResponse> CallLog(size_t replica, uint16_t opcode, Bytes payload);
-
-  std::vector<RpcClient*> replicas_;
-  uint64_t repairs_ = 0;
 };
 
 }  // namespace hyperion::dpu

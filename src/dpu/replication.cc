@@ -906,87 +906,50 @@ void ReplicatedKvClient::FinishRecovery(std::shared_ptr<Recovery> rec) {
 
 namespace {
 
-HyperionConfig RepNodeConfig(const RepClusterOptions& options) {
-  HyperionConfig config;
-  config.nvme_devices = options.nvme_devices;
-  config.lbas_per_device = options.lbas_per_device;
-  config.dram_bytes = options.dram_bytes;
-  config.hbm_bytes = options.hbm_bytes;
-  config.link_gbps = options.fabric.default_link_gbps;
-  return config;
-}
+// Replicas are smaller than the other fleets' nodes: 64-node replicated runs
+// would otherwise pay construction for memory the workload never touches.
+constexpr uint64_t kReplicaDramBytes = 24ull << 20;
+constexpr uint64_t kReplicaHbmBytes = 8ull << 20;
 
 }  // namespace
 
-ReplicatedKvCluster::Node::Node(ReplicatedKvCluster* cluster, uint32_t id, uint32_t shard)
-    : id(id),
-      shard(shard),
-      fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, RepNodeConfig(cluster->options_)),
-      rng(cluster->options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {
-  CHECK(dpu.Boot().ok());
-  auto installed = ReplicatedKvService::Install(&dpu, cluster->options_.backend);
-  CHECK(installed.ok());
-  service = std::move(*installed);
-  // Registering the endpoint inside id-ordered node construction pins the
-  // logical source order that breaks cross-shard timestamp ties,
-  // independent of the shard layout (same discipline as KvCluster).
-  endpoint = std::make_unique<ShardedRpcNode>(&cluster->engine(), shard, &dpu.rpc(), &clock,
-                                              cluster->options_.fabric,
-                                              cluster->options_.fabric.default_link_gbps);
-  if (cluster->options_.overload.enabled) {
-    endpoint->SetOverloadPolicy(cluster->options_.overload);
-  }
-  if (cluster->options_.kill_at_boundary != RepClusterOptions::kNoKill &&
-      cluster->options_.kill_node == id) {
-    sim::FaultPlan plan;
-    plan.AtQuery(sim::FaultSite::kNodeKill, cluster->options_.kill_at_boundary);
-    injector = std::make_unique<sim::FaultInjector>(&clock, plan);
-    service->SetFaultInjector(injector.get());
-  }
-  clients.resize(cluster->options_.workload.clients_per_node,
-                 ClientState{cluster->options_.workload.ops_per_client, 0});
-}
-
 ReplicatedKvCluster::ReplicatedKvCluster(const RepClusterOptions& options)
-    : options_(options) {
+    : options_(options),
+      fleet_(options.groups * options.replicas_per_group, options.num_shards,
+             options.use_threads) {
   CHECK_GT(options_.groups, 0u);
   CHECK_GT(options_.replicas_per_group, 0u);
   CHECK_GE(options_.workload.value_bytes, 8u);  // tag prefix
   CHECK_GT(options_.workload.key_space, 0u);
-  const uint32_t num_nodes = options_.groups * options_.replicas_per_group;
-  if (options_.num_shards == 0 || options_.num_shards > num_nodes) {
-    options_.num_shards = num_nodes;
-  }
-
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
-
+  const uint32_t num_nodes = fleet_.num_nodes();
   nodes_.reserve(num_nodes);
-  for (uint32_t id = 0; id < num_nodes; ++id) {
-    nodes_.push_back(std::make_unique<Node>(this, id, ShardOf(id)));
-  }
   std::vector<ShardedRpcNode*> replicas;
-  replicas.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    replicas.push_back(node->endpoint.get());
+  for (uint32_t id = 0; id < num_nodes; ++id) {
+    Node& node = nodes_.emplace_back(options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)),
+                                     options_.workload.clients_per_node,
+                                     options_.workload.ops_per_client);
+    Fleet::Node& booted = fleet_.AddDpu(
+        Fleet::NodeConfig(kReplicaDramBytes, kReplicaHbmBytes), [&](Fleet::Node& dpu_node) {
+          auto installed = ReplicatedKvService::Install(dpu_node.dpu.get(), options_.backend);
+          CHECK(installed.ok());
+          node.service = std::move(*installed);
+        });
+    if (options_.kill_at_boundary != RepClusterOptions::kNoKill && options_.kill_node == id) {
+      sim::FaultPlan plan;
+      plan.AtQuery(sim::FaultSite::kNodeKill, options_.kill_at_boundary);
+      node.injector = std::make_unique<sim::FaultInjector>(&booted.clock, plan);
+      node.service->SetFaultInjector(node.injector.get());
+    }
+    replicas.push_back(booted.endpoint.get());
   }
-  for (auto& node : nodes_) {
-    node->client = std::make_unique<ReplicatedKvClient>(
-        engine_.get(), node->endpoint.get(), replicas, options_.groups,
-        options_.replicas_per_group, options_.client);
+  for (uint32_t id = 0; id < num_nodes; ++id) {
+    nodes_[id].client = std::make_unique<ReplicatedKvClient>(
+        &fleet_.engine(), fleet_.node(id).endpoint.get(), replicas, options_.groups,
+        options_.replicas_per_group);
   }
 }
 
 ReplicatedKvCluster::~ReplicatedKvCluster() = default;
-
-uint32_t ReplicatedKvCluster::ShardOf(uint32_t node) const {
-  const uint32_t num_nodes = options_.groups * options_.replicas_per_group;
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / num_nodes);
-}
 
 Bytes ReplicatedKvCluster::TaggedValue(uint64_t tag) const {
   Bytes value(options_.workload.value_bytes);
@@ -1008,23 +971,25 @@ void ReplicatedKvCluster::Preload() {
         static_cast<uint32_t>(KvPartitionOf(key, options_.groups));
     const Bytes value = TaggedValue(PreloadTag(key));
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      Node& replica = *nodes_[group * options_.replicas_per_group + r];
+      Node& replica = nodes_[group * options_.replicas_per_group + r];
       CHECK(replica.service->PreloadPut(key, ByteSpan(value.data(), value.size())).ok());
     }
   }
 }
 
-void ReplicatedKvCluster::IssueOp(Node& node, uint32_t client) {
+void ReplicatedKvCluster::IssueOp(uint32_t id, uint32_t client) {
+  Node& node = nodes_[id];
   ClientState& state = node.clients[client];
   CHECK_GT(state.remaining, 0u);
   --state.remaining;
   const ClusterWorkload& workload = options_.workload;
   const uint64_t key = node.rng.Uniform(workload.key_space);
   const bool write = node.rng.Uniform(100) < workload.write_pct;
-  const uint32_t global_client = node.id * workload.clients_per_node + client;
-  const sim::SimTime invoke = engine_->shard(node.shard).Now();
-  auto finish = [this, &node, client, invoke](bool ok, bool put) {
-    const sim::SimTime now = engine_->shard(node.shard).Now();
+  const uint32_t global_client = id * workload.clients_per_node + client;
+  sim::Engine& shard = fleet_.shard_engine(id);
+  const sim::SimTime invoke = shard.Now();
+  auto finish = [this, &node, &shard, id, client, invoke](bool ok, bool put) {
+    const sim::SimTime now = shard.Now();
     node.latency.Record(now - invoke);
     if (!ok) {
       ++node.failed_ops;
@@ -1035,7 +1000,7 @@ void ReplicatedKvCluster::IssueOp(Node& node, uint32_t client) {
     }
     node.last_completion = std::max(node.last_completion, now);
     if (node.clients[client].remaining > 0) {
-      IssueOp(node, client);
+      IssueOp(id, client);
     }
   };
   if (write) {
@@ -1044,11 +1009,11 @@ void ReplicatedKvCluster::IssueOp(Node& node, uint32_t client) {
     Bytes value = TaggedValue(tag);
     node.client->PutAsync(
         key, std::move(value),
-        [this, &node, finish, key, tag, global_client, invoke](Status status,
-                                                               uint64_t position) {
+        [this, &node, &shard, finish, key, tag, global_client, invoke](Status status,
+                                                                       uint64_t position) {
           const bool ok = status.ok();
-          node.history.push_back(RepHistOp{RepHistOp::kPut, global_client, key, tag,
-                                           invoke, engine_->shard(node.shard).Now(), ok});
+          node.history.push_back(
+              RepHistOp{RepHistOp::kPut, global_client, key, tag, invoke, shard.Now(), ok});
           if (ok) {
             node.acked.push_back(AckedPut{
                 static_cast<uint32_t>(KvPartitionOf(key, options_.groups)), key,
@@ -1058,7 +1023,7 @@ void ReplicatedKvCluster::IssueOp(Node& node, uint32_t client) {
         });
   } else {
     node.client->GetAsync(
-        key, [this, &node, finish, key, global_client, invoke](
+        key, [&node, &shard, finish, key, global_client, invoke](
                  Status status, bool present, uint64_t stamp, Bytes value) {
           (void)stamp;
           const bool ok = status.ok();
@@ -1067,8 +1032,8 @@ void ReplicatedKvCluster::IssueOp(Node& node, uint32_t client) {
             ByteReader reader(ByteSpan(value.data(), value.size()));
             tag = reader.ReadU64();
           }
-          node.history.push_back(RepHistOp{RepHistOp::kGet, global_client, key, tag,
-                                           invoke, engine_->shard(node.shard).Now(), ok});
+          node.history.push_back(
+              RepHistOp{RepHistOp::kGet, global_client, key, tag, invoke, shard.Now(), ok});
           finish(ok, false);
         });
   }
@@ -1078,45 +1043,32 @@ RepClusterResult ReplicatedKvCluster::Run() {
   CHECK(!ran_);
   ran_ = true;
   Preload();
-  sim::SimTime start_base = 0;
-  for (const auto& node : nodes_) {
-    start_base = std::max(start_base, node->clock.Now());
-  }
-  start_base += 1000;
+  const sim::SimTime start_base = fleet_.StartBase();
   if (options_.kill_after_ns > 0) {
-    Node& victim = *nodes_[options_.kill_node];
-    ReplicatedKvService* svc = victim.service.get();
-    engine_->shard(victim.shard)
+    ReplicatedKvService* svc = nodes_[options_.kill_node].service.get();
+    fleet_.shard_engine(options_.kill_node)
         .ScheduleAt(start_base + options_.kill_after_ns, [svc] { svc->Kill(); });
   }
-  const ClusterWorkload& workload = options_.workload;
-  for (uint32_t id = 0; id < nodes_.size(); ++id) {
-    Node& node = *nodes_[id];
-    for (uint32_t client = 0; client < workload.clients_per_node; ++client) {
-      if (node.clients[client].remaining == 0) {
-        continue;
-      }
-      const sim::SimTime start =
-          start_base + (uint64_t{id} * workload.clients_per_node + client) * 7;
-      engine_->shard(node.shard).ScheduleAt(
-          start, [this, &node, client] { IssueOp(node, client); });
-    }
+  if (options_.workload.ops_per_client > 0) {
+    fleet_.KickClients(start_base, options_.workload.clients_per_node,
+                       [this](uint32_t id, uint32_t client) { IssueOp(id, client); });
   }
-  engine_->Run();
+  sim::ParallelEngine& engine = fleet_.engine();
+  engine.Run();
 
   RepClusterResult result;
-  result.events_run = engine_->stats().events_run;
-  result.messages = engine_->stats().messages;
+  result.events_run = engine.stats().events_run;
+  result.messages = engine.stats().messages;
   result.start_ns = start_base;
-  for (auto& node : nodes_) {
-    result.ok_puts += node->ok_puts;
-    result.ok_gets += node->ok_gets;
-    result.failed_ops += node->failed_ops;
-    if (node->last_completion > start_base) {
-      result.makespan_ns = std::max(result.makespan_ns, node->last_completion - start_base);
+  for (const Node& node : nodes_) {
+    result.ok_puts += node.ok_puts;
+    result.ok_gets += node.ok_gets;
+    result.failed_ops += node.failed_ops;
+    if (node.last_completion > start_base) {
+      result.makespan_ns = std::max(result.makespan_ns, node.last_completion - start_base);
     }
-    merged_latency_.Merge(node->latency);
-    const sim::Counters& counters = node->client->counters();
+    merged_latency_.Merge(node.latency);
+    const sim::Counters& counters = node.client->counters();
     result.failovers += counters.Get("rep_failovers");
     result.seals += counters.Get("rep_seals");
     result.repair_copies += counters.Get("rep_repair_copies");
@@ -1124,7 +1076,7 @@ RepClusterResult ReplicatedKvCluster::Run() {
     result.stale_epoch += counters.Get("rep_stale_epoch");
     result.retries += counters.Get("rep_retries");
     result.partial_abandons += counters.Get("rep_partial_abandons");
-    if (node->service->dead()) {
+    if (node.service->dead()) {
       ++result.killed_nodes;
     }
   }
@@ -1140,7 +1092,7 @@ RepClusterResult ReplicatedKvCluster::Run() {
     uint32_t max_epoch = 0;
     uint64_t final_dead = 0;
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      const Node& node = *nodes_[g * options_.replicas_per_group + r];
+      const Node& node = nodes_[g * options_.replicas_per_group + r];
       if (node.service->dead()) {
         continue;
       }
@@ -1151,7 +1103,7 @@ RepClusterResult ReplicatedKvCluster::Run() {
     }
     result.group_epochs[g] = max_epoch;
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      Node& node = *nodes_[g * options_.replicas_per_group + r];
+      Node& node = nodes_[g * options_.replicas_per_group + r];
       if (node.service->dead() || (final_dead & (1ull << r)) != 0) {
         digest = Fold(digest, 0xdeadull);
         continue;
@@ -1176,8 +1128,8 @@ RepClusterResult ReplicatedKvCluster::Run() {
 
 std::vector<RepHistOp> ReplicatedKvCluster::History() const {
   std::vector<RepHistOp> merged;
-  for (const auto& node : nodes_) {
-    merged.insert(merged.end(), node->history.begin(), node->history.end());
+  for (const Node& node : nodes_) {
+    merged.insert(merged.end(), node.history.begin(), node.history.end());
   }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const RepHistOp& a, const RepHistOp& b) {
@@ -1185,10 +1137,6 @@ std::vector<RepHistOp> ReplicatedKvCluster::History() const {
                      return a.client < b.client;
                    });
   return merged;
-}
-
-bool ReplicatedKvCluster::LiveAtEnd(uint32_t node) const {
-  return !nodes_[node]->service->dead();
 }
 
 RepAudit ReplicatedKvCluster::AuditAckedWrites() {
@@ -1201,7 +1149,7 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
   for (uint32_t g = 0; g < options_.groups; ++g) {
     uint32_t max_epoch = 0;
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      Node& node = *nodes_[g * options_.replicas_per_group + r];
+      Node& node = nodes_[g * options_.replicas_per_group + r];
       if (node.service->dead()) {
         final_dead[g] |= 1ull << r;
         continue;
@@ -1218,7 +1166,7 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
       if ((final_dead[g] & (1ull << r)) != 0) {
         continue;
       }
-      Node& node = *nodes_[g * options_.replicas_per_group + r];
+      Node& node = nodes_[g * options_.replicas_per_group + r];
       const uint64_t d = node.service->StateDigest();
       if (!have_digest) {
         first_digest = d;
@@ -1231,14 +1179,14 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
       ++audit.divergent;
     }
   }
-  for (const auto& node : nodes_) {
-    for (const AckedPut& acked : node->acked) {
+  for (const Node& node : nodes_) {
+    for (const AckedPut& acked : node.acked) {
       ++audit.acked;
       for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
         if ((final_dead[acked.group] & (1ull << r)) != 0) {
           continue;
         }
-        Node& replica = *nodes_[acked.group * options_.replicas_per_group + r];
+        Node& replica = nodes_[acked.group * options_.replicas_per_group + r];
         auto applied = replica.service->ReadApplied(acked.key);
         if (!applied.ok() || applied->stamp < acked.position + 1) {
           ++audit.lost;
@@ -1260,8 +1208,15 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
   return audit;
 }
 
+void ReplicatedKvCluster::SnapshotMetrics(obs::MetricsRegistry* registry) const {
+  fleet_.SnapshotMetrics(registry);
+  for (const Node& node : nodes_) {
+    registry->ImportCounters(obs::Subsystem::kStore, node.client->counters());
+  }
+}
+
 uint64_t ReplicatedKvCluster::VictimBoundaries(uint32_t node) const {
-  return nodes_[node]->service->counters().Get("rep_boundaries");
+  return nodes_[node].service->counters().Get("rep_boundaries");
 }
 
 }  // namespace hyperion::dpu

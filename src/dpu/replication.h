@@ -48,8 +48,10 @@
 
 #include "src/common/rng.h"
 #include "src/dpu/cluster.h"
+#include "src/dpu/fleet.h"
 #include "src/dpu/hyperion.h"
 #include "src/dpu/rpc.h"
+#include "src/obs/metrics.h"
 #include "src/sim/fault.h"
 #include "src/sim/parallel.h"
 #include "src/sim/stats.h"
@@ -313,14 +315,8 @@ struct RepClusterOptions {
   uint32_t replicas_per_group = 3;
   uint32_t num_shards = 0;  // 0 → one shard per node
   bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
   storage::KvBackend backend = storage::KvBackend::kBTree;
-  net::FabricParams fabric;
   ClusterWorkload workload;  // value_bytes must be >= 8 (the tag)
-  RepClientOptions client;
-  // Serving-side PR 5 admission (deadline-aware fast rejects) on every
-  // replica endpoint.
-  RpcOverloadPolicy overload;
   // Kill schedule, two deterministic forms:
   //   * kill_at_boundary: FaultPlan::AtQuery(kNodeKill, skip) on the victim
   //     — the fault-matrix primitive, landing the kill at exactly the Nth
@@ -331,12 +327,6 @@ struct RepClusterOptions {
   uint32_t kill_node = 0;
   uint64_t kill_at_boundary = kNoKill;
   sim::SimTime kill_after_ns = 0;  // 0 = disabled
-  // Trimmed per-node DPU (64-node runs would otherwise pay construction
-  // for memory the workload never touches).
-  uint32_t nvme_devices = 1;
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 24ull << 20;
-  uint64_t hbm_bytes = 8ull << 20;
 };
 
 // groups × replicas_per_group full Hyperion nodes, each also hosting a
@@ -349,10 +339,10 @@ class ReplicatedKvCluster {
   ReplicatedKvCluster& operator=(const ReplicatedKvCluster&) = delete;
   ~ReplicatedKvCluster();
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
-  uint32_t ShardOf(uint32_t node) const;
-  sim::ParallelEngine& engine() { return *engine_; }
-  ReplicatedKvService& service(uint32_t node) { return *nodes_[node]->service; }
+  uint32_t num_nodes() const { return fleet_.num_nodes(); }
+  uint32_t ShardOf(uint32_t node) const { return fleet_.ShardOf(node); }
+  sim::ParallelEngine& engine() { return fleet_.engine(); }
+  ReplicatedKvService& service(uint32_t node) { return *nodes_[node].service; }
 
   // Runs the workload to quiescence and snapshots the result. One-shot.
   RepClusterResult Run();
@@ -361,6 +351,10 @@ class ReplicatedKvCluster {
   // client, then record order) and the acked-write audit.
   std::vector<RepHistOp> History() const;
   RepAudit AuditAckedWrites();
+
+  // The fleet's endpoint, RPC and NVMe counters, the parallel engine's
+  // tallies, and every client's rep_* failover counters.
+  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
   // Kills the victim's protocol boundaries observed in a fault-free run:
   // the fault-matrix sweep uses this to size its boundary range.
@@ -381,16 +375,12 @@ class ReplicatedKvCluster {
     uint64_t position = 0;
     uint64_t tag = 0;
   };
+  // The replication tenant on one fleet node: a replica, its smart client
+  // and the colocated client population.
   struct Node {
-    Node(ReplicatedKvCluster* cluster, uint32_t id, uint32_t shard);
-
-    uint32_t id;
-    uint32_t shard;
-    sim::Engine clock;  // private cost engine (never holds events)
-    net::Fabric fabric;
-    Hyperion dpu;
+    Node(uint64_t seed, uint32_t clients, uint32_t ops_per_client)
+        : rng(seed), clients(clients, ClientState{ops_per_client, 0}) {}
     std::unique_ptr<ReplicatedKvService> service;
-    std::unique_ptr<ShardedRpcNode> endpoint;
     std::unique_ptr<ReplicatedKvClient> client;
     std::unique_ptr<sim::FaultInjector> injector;  // victim only
     Rng rng;
@@ -404,19 +394,15 @@ class ReplicatedKvCluster {
     sim::SimTime last_completion = 0;
   };
 
-  uint32_t GroupOfNode(uint32_t node) const { return node / options_.replicas_per_group; }
-  bool LiveAtEnd(uint32_t node) const;
   void Preload();
-  void IssueOp(Node& node, uint32_t client);
+  void IssueOp(uint32_t id, uint32_t client);
   Bytes TaggedValue(uint64_t tag) const;
 
   RepClusterOptions options_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  Fleet fleet_;
+  std::vector<Node> nodes_;  // indexed by node id
   sim::Histogram merged_latency_;
   bool ran_ = false;
-
-  friend struct Node;
 };
 
 }  // namespace hyperion::dpu

@@ -199,19 +199,6 @@ RpcResponse HyperionServices::HandleLog(uint16_t opcode, const Buffer& payload) 
       Status st = log_->Trim(prefix);
       return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
     }
-    case LogOp::kReserve: {
-      Bytes out;
-      PutU64(out, log_->Reserve());
-      return RpcResponse::Ok(std::move(out));
-    }
-    case LogOp::kWriteAt: {
-      const uint64_t position = reader.ReadU64();
-      if (!reader.Ok()) {
-        return RpcResponse::Fail(InvalidArgument("malformed write-at"));
-      }
-      Status st = log_->WriteAt(position, payload.Slice(reader.offset()));
-      return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
-    }
     default:
       return RpcResponse::Fail(Unimplemented("unknown log opcode"));
   }

@@ -35,9 +35,6 @@ struct LogOp {
   static constexpr uint16_t kTail = 3;     // -> [tail u64]
   static constexpr uint16_t kFill = 4;     // [position u64]
   static constexpr uint16_t kTrim = 5;     // [prefix u64]
-  // Split protocol for client-driven replication (CORFU's fast path):
-  static constexpr uint16_t kReserve = 6;  // -> [position u64] (sequencer only)
-  static constexpr uint16_t kWriteAt = 7;  // [position u64][data] (write-once)
 };
 struct BlockOp {
   // NVMe-oF-style block access (§2.3 "block-level offloaded accesses").

@@ -4,32 +4,27 @@
 
 #include "src/common/bytes.h"
 #include "src/common/check.h"
-#include "src/obs/export.h"
 
 namespace hyperion::load {
 
 namespace {
 
-dpu::HyperionConfig ServerConfig(const OverloadClusterOptions& options) {
-  dpu::HyperionConfig config;
-  config.nvme_devices = 1;
-  config.lbas_per_device = options.lbas_per_device;
-  config.dram_bytes = options.dram_bytes;
-  config.hbm_bytes = options.hbm_bytes;
-  config.link_gbps = options.fabric.default_link_gbps;
-  return config;
-}
+// Closed loop: concurrent requests per client node.
+constexpr uint32_t kClosedClients = 4;
+// Blocks per BlockOp::kRead.
+constexpr uint32_t kReadBlocks = 1;
+// FPGA regions behind the analytics tenant's scan kernels.
+constexpr uint32_t kScanFabricRegions = 2;
 
 }  // namespace
 
-OverloadCluster::ServerNode::ServerNode(OverloadCluster* cluster)
-    : fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, ServerConfig(cluster->options_)) {
-  CHECK(dpu.Boot().ok());
+OverloadCluster::ServerNode::ServerNode(dpu::Fleet::Node& node, OverloadWorkload workload)
+    : clock(&node.clock) {
+  dpu::Hyperion& dpu = *node.dpu;
   auto installed = dpu::HyperionServices::Install(&dpu, storage::KvBackend::kBTree);
   CHECK(installed.ok());
   services = std::move(*installed);
-  if (cluster->options_.workload == OverloadWorkload::kLsmKv) {
+  if (workload == OverloadWorkload::kLsmKv) {
     // A zoned namespace beside the block namespaces, formatted for the PR 6
     // LSM engine; the engine runs on the server's node clock so its I/O
     // costs land in the served-request latency like every other substrate.
@@ -40,7 +35,7 @@ OverloadCluster::ServerNode::ServerNode(OverloadCluster* cluster)
     CHECK_OK(zoned.status());
     zns = std::make_unique<nvme::ZonedNamespace>(std::move(zoned).value());
     auto formatted = storage::LsmEngine::Format(
-        storage::LsmDeps{.engine = &clock, .zns = zns.get(), .injector = nullptr});
+        storage::LsmDeps{.engine = clock, .zns = zns.get(), .injector = nullptr});
     CHECK_OK(formatted.status());
     lsm = std::move(*formatted);
     dpu.rpc().RegisterService(dpu::ServiceId::kLsmKv,
@@ -48,15 +43,11 @@ OverloadCluster::ServerNode::ServerNode(OverloadCluster* cluster)
                                 return HandleLsm(opcode, payload);
                               });
   }
-  endpoint = std::make_unique<dpu::ShardedRpcNode>(
-      cluster->engine_.get(), cluster->ShardOf(0), &dpu.rpc(), &clock,
-      cluster->options_.fabric, cluster->options_.fabric.default_link_gbps);
-  endpoint->SetOverloadPolicy(cluster->options_.policy);
 }
 
 dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
                                                         const Buffer& payload) {
-  clock.Advance(1200);  // shell datapath cost, same as the plain services
+  clock->Advance(1200);  // shell datapath cost, same as the plain services
   ByteReader reader(payload);
   switch (opcode) {
     case dpu::KvOp::kPut: {
@@ -103,18 +94,17 @@ dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
 }
 
 OverloadCluster::AnalyticsTenant::AnalyticsTenant(OverloadCluster* cluster)
-    : exec(cluster->options_.analytics_spatial ? &clock : &cluster->server_->clock) {
+    : exec(cluster->options_.analytics_spatial ? &clock : cluster->server_->clock) {
   const OverloadClusterOptions& opts = cluster->options_;
   if (!opts.scan_faults.empty()) {
-    injector = std::make_unique<sim::FaultInjector>(exec, opts.scan_faults,
-                                                    opts.scan_fault_seed);
+    injector = std::make_unique<sim::FaultInjector>(exec, opts.scan_faults);
   }
   nvme = std::make_unique<nvme::Controller>(exec);
   if (injector) {
     nvme->SetFaultInjector(injector.get());
   }
   fpga::FabricConfig fabric_config;
-  fabric_config.regions = opts.scan_fabric_regions;
+  fabric_config.regions = kScanFabricRegions;
   fabric = std::make_unique<fpga::Fabric>(exec, fabric_config);
   if (injector) {
     fabric->SetFaultInjector(injector.get());
@@ -162,13 +152,11 @@ OverloadCluster::AnalyticsTenant::AnalyticsTenant(OverloadCluster* cluster)
     // RpcServer, own node clock) on node 0's shard — KV head-of-line
     // behaviour cannot leak into it, nor it into KV.
     rpc.RegisterService(dpu::ServiceId::kScan, handler);
-    endpoint = std::make_unique<dpu::ShardedRpcNode>(
-        cluster->engine_.get(), cluster->ShardOf(0), &rpc, &clock, opts.fabric,
-        opts.fabric.default_link_gbps);
+    endpoint = cluster->fleet_.AddEndpoint(0, &rpc, &clock);
   } else {
     // Time-shared contrast arm: scans ride the KV pipeline and advance the
     // KV server's clock — every queued KV request behind a scan waits.
-    cluster->server_->dpu.rpc().RegisterService(dpu::ServiceId::kScan, handler);
+    cluster->fleet_.node(0).dpu->rpc().RegisterService(dpu::ServiceId::kScan, handler);
   }
 }
 
@@ -199,48 +187,32 @@ dpu::RpcResponse OverloadCluster::AnalyticsTenant::HandleScan(uint16_t opcode,
   }
 }
 
-OverloadCluster::ClientNode::ClientNode(OverloadCluster* cluster, uint32_t id, bool analytics)
-    : id(id), analytics(analytics) {
-  endpoint = std::make_unique<dpu::ShardedRpcNode>(
-      cluster->engine_.get(), cluster->ShardOf(id), /*server=*/nullptr, &clock,
-      cluster->options_.fabric, cluster->options_.fabric.default_link_gbps);
-}
-
-OverloadCluster::OverloadCluster(const OverloadClusterOptions& options) : options_(options) {
+OverloadCluster::OverloadCluster(const OverloadClusterOptions& options)
+    : options_(options),
+      fleet_(options.num_clients + options.analytics_clients + 1, options.num_shards,
+             options.use_threads) {
   CHECK_GT(options_.num_clients, 0u);
   CHECK_GT(options_.requests_per_client, 0u);
-  CHECK_GT(options_.read_blocks, 0u);
-  const uint32_t nodes = num_nodes();
-  if (options_.num_shards == 0 || options_.num_shards > nodes) {
-    options_.num_shards = nodes;
-  }
-
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
 
   // Id-ordered construction pins the cross-shard source order: server is
   // node 0 (KV endpoint first, analytics endpoint second on the same
   // shard), clients 1..N, analytics clients N+1..N+M.
-  server_ = std::make_unique<ServerNode>(this);
+  fleet_.AddDpu(dpu::Fleet::NodeConfig(), [this](dpu::Fleet::Node& node) {
+    server_ = std::make_unique<ServerNode>(node, options_.workload);
+  });
+  fleet_.node(0).endpoint->SetOverloadPolicy(options_.policy);
   if (options_.analytics_clients > 0) {
     analytics_ = std::make_unique<AnalyticsTenant>(this);
   }
   const uint32_t total_clients = options_.num_clients + options_.analytics_clients;
   clients_.reserve(total_clients);
   for (uint32_t id = 1; id <= total_clients; ++id) {
-    clients_.push_back(
-        std::make_unique<ClientNode>(this, id, /*analytics=*/id > options_.num_clients));
+    clients_.push_back(std::make_unique<ClientNode>(id, /*analytics=*/id > options_.num_clients,
+                                                    fleet_.AddClient().endpoint.get()));
   }
 }
 
 OverloadCluster::~OverloadCluster() = default;
-
-uint32_t OverloadCluster::ShardOf(uint32_t node) const {
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / num_nodes());
-}
 
 OverloadResult OverloadCluster::Run() {
   CHECK(!ran_);
@@ -253,11 +225,9 @@ OverloadResult OverloadCluster::Run() {
     }
     CHECK_OK(server_->lsm->Sync());
   }
-  // Clients start once the server has drained boot from its pipeline (the
-  // base is layout-invariant: boot never touches shard engines).
-  const sim::SimTime start_base = server_->clock.Now() + 1000;
-  const uint64_t node_stride =
-      7ull * (options_.open_loop ? 1 : std::max<uint32_t>(1, options_.closed_clients));
+  // Clients start once the server has drained boot from its pipeline.
+  const sim::SimTime start_base = fleet_.StartBase();
+  const uint64_t node_stride = 7ull * (options_.open_loop ? 1 : kClosedClients);
   for (auto& owned : clients_) {
     ClientNode* client = owned.get();
     if (client->analytics) {
@@ -266,24 +236,23 @@ OverloadResult OverloadCluster::Run() {
       StartKvClient(client, start_base, node_stride);
     }
   }
-  engine_->Run();
+  fleet_.engine().Run();
   return Collect(start_base);
 }
 
 void OverloadCluster::StartKvClient(ClientNode* client, sim::SimTime start_base,
                                     uint64_t node_stride) {
-  const uint64_t max_slba = options_.lbas_per_device - options_.read_blocks;
+  const uint64_t max_slba = dpu::Fleet::kLbasPerDevice - kReadBlocks;
   {
     LoadGenOptions gopts;
     gopts.open_loop = options_.open_loop;
     gopts.interarrival = options_.interarrival;
-    gopts.clients = options_.closed_clients;
-    gopts.think_time = options_.think_time;
+    gopts.clients = kClosedClients;
     gopts.total_requests = options_.requests_per_client;
     gopts.deadline = options_.deadline;
     gopts.start = start_base + (client->id - 1) * node_stride;
     client->gen = std::make_unique<LoadGen>(
-        &engine_->shard(ShardOf(client->id)), gopts,
+        &fleet_.shard_engine(client->id), gopts,
         [this, client, max_slba](uint64_t seq, sim::SimTime deadline, LoadGen::DoneFn done) {
           dpu::RpcRequest request;
           if (options_.workload == OverloadWorkload::kLsmKv) {
@@ -313,12 +282,12 @@ void OverloadCluster::StartKvClient(ClientNode* client, sim::SimTime start_base,
             ByteWriter payload(16);
             payload.PutU32(1);  // nsid
             payload.PutU64((seq * 97 + uint64_t{client->id} * 7919) % max_slba);
-            payload.PutU32(options_.read_blocks);
+            payload.PutU32(kReadBlocks);
             request.payload = Buffer(payload.Take());
           }
           request.deadline = deadline;  // kNever == kNoDeadline: none
           client->endpoint->CallAsync(
-              server_->endpoint.get(), request,
+              &server_endpoint(), request,
               [done = std::move(done)](Result<dpu::RpcResponse> result) {
                 if (!result.ok()) {
                   done(Outcome::kFailed);
@@ -343,14 +312,13 @@ void OverloadCluster::StartScanClient(ClientNode* client, sim::SimTime start_bas
   gopts.open_loop = true;
   gopts.interarrival = options_.scan_interarrival;
   gopts.total_requests = options_.scan_requests_per_client;
-  gopts.deadline = options_.scan_deadline;
   gopts.start = start_base + (client->id - 1) * node_stride;
   dpu::ShardedRpcNode* target =
-      options_.analytics_spatial ? analytics_->endpoint.get() : server_->endpoint.get();
+      options_.analytics_spatial ? analytics_->endpoint.get() : &server_endpoint();
   const uint64_t table_rows = options_.scan_table_rows;
   client->gen = std::make_unique<LoadGen>(
-      &engine_->shard(ShardOf(client->id)), gopts,
-      [this, client, target, table_rows](uint64_t seq, sim::SimTime deadline,
+      &fleet_.shard_engine(client->id), gopts,
+      [client, target, table_rows](uint64_t seq, sim::SimTime deadline,
                                          LoadGen::DoneFn done) {
         // Deterministic per-(client, seq) query: the kernel kind rotates
         // (forcing ICAP swaps on a small fabric) and the predicate range
@@ -437,13 +405,13 @@ OverloadResult OverloadCluster::Collect(sim::SimTime start_base) {
       merged_latency_.Merge(client->gen->latency());
     }
   }
-  const sim::Counters& server = server_->endpoint->counters();
+  const sim::Counters& server = server_endpoint().counters();
   result.served = server.Get("rpc_async_served");
   result.admitted = server.Get("rpc_admitted");
   result.shed_queue = server.Get("rpc_shed_queue");
   result.shed_deadline = server.Get("rpc_shed_deadline");
-  result.messages = engine_->stats().messages;
-  result.server_clock_ns = server_->clock.Now();
+  result.messages = fleet_.engine().stats().messages;
+  result.server_clock_ns = server_->clock->Now();
   result.latency_count = merged_latency_.count();
   result.latency_p50_ns = merged_latency_.P50();
   result.latency_p99_ns = merged_latency_.P99();
@@ -458,22 +426,16 @@ OverloadResult OverloadCluster::Collect(sim::SimTime start_base) {
 }
 
 void OverloadCluster::SnapshotMetrics(obs::MetricsRegistry* registry) const {
-  registry->ImportCounters(obs::Subsystem::kRpc, server_->endpoint->counters());
-  registry->ImportCounters(obs::Subsystem::kRpc, server_->dpu.rpc().counters());
-  registry->ImportCounters(obs::Subsystem::kNvme, server_->dpu.nvme().counters());
-  if (const sim::AdmissionController* admission = server_->endpoint->admission()) {
+  fleet_.SnapshotMetrics(registry);
+  if (const sim::AdmissionController* admission = fleet_.node(0).endpoint->admission()) {
     registry->ImportCounters(obs::Subsystem::kRpc, admission->counters());
     registry->Record(obs::Subsystem::kRpc, "admission_depth_p99", admission->depth().P99());
-  }
-  for (const auto& client : clients_) {
-    registry->ImportCounters(obs::Subsystem::kRpc, client->endpoint->counters());
   }
   if (analytics_) {
     registry->ImportCounters(obs::Subsystem::kFpga, analytics_->scheduler->counters());
     registry->ImportCounters(obs::Subsystem::kFpga, analytics_->fabric->counters());
     registry->ImportCounters(obs::Subsystem::kNvme, analytics_->nvme->counters());
   }
-  obs::ImportParallelStats(registry, engine_->stats());
 }
 
 }  // namespace hyperion::load

@@ -12,10 +12,11 @@
 //        requests with kResourceExhausted after reject_cost only, keeping
 //        admitted-request latency bounded and goodput at the plateau.
 //
-// Layout invariance is inherited from the PDES layer exactly as KvCluster:
-// nodes share no mutable state, construction order pins source order, and
-// every client start time is distinct — OverloadResult is bit-identical
-// across num_shards x threads (tests/load_test.cc pins {1, 2, 4} x on/off).
+// Layout invariance comes from the dpu::Fleet the nodes form, as in
+// KvCluster: nodes share no mutable state, construction order pins source
+// order, and every client start time is distinct — OverloadResult is
+// bit-identical across num_shards x threads (tests/load_test.cc pins
+// {1, 2, 4} x on/off).
 
 #ifndef HYPERION_SRC_LOAD_HARNESS_H_
 #define HYPERION_SRC_LOAD_HARNESS_H_
@@ -24,7 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/dpu/hyperion.h"
+#include "src/dpu/fleet.h"
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
 #include "src/format/scan_kernel.h"
@@ -34,7 +35,6 @@
 #include "src/nvme/zns.h"
 #include "src/obs/metrics.h"
 #include "src/sim/fault.h"
-#include "src/sim/parallel.h"
 #include "src/sim/stats.h"
 #include "src/storage/lsm_engine.h"
 
@@ -52,16 +52,12 @@ struct OverloadClusterOptions {
   // blocks (same scheme as KvCluster).
   uint32_t num_shards = 0;
   bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
-  net::FabricParams fabric;
-  // Per-client arrival process (LoadGen semantics).
+  // Per-client arrival process (LoadGen semantics); a closed loop runs 4
+  // concurrent requests per client node with no think time.
   bool open_loop = true;
   uint32_t requests_per_client = 64;
   sim::Duration interarrival = 20 * sim::kMicrosecond;
-  uint32_t closed_clients = 4;  // closed loop: concurrency per client node
-  sim::Duration think_time = 0;
   sim::Duration deadline = 1 * sim::kMillisecond;  // relative; 0 = none
-  uint32_t read_blocks = 1;
   // Workload selection (kLsmKv: the server formats an LsmEngine on a zoned
   // namespace and serves it under ServiceId::kLsmKv; puts are acknowledged
   // only after their WAL group sync, so every kOk is durable).
@@ -71,10 +67,6 @@ struct OverloadClusterOptions {
   uint32_t kv_value_bytes = 64;
   // Server-side overload policy (the experiment's independent variable).
   dpu::RpcOverloadPolicy policy;
-  // Trimmed server DPU (communication structure, not capacity).
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 64ull << 20;
-  uint64_t hbm_bytes = 16ull << 20;
   // -- Analytics tenant (PR 10) ----------------------------------------------
   // `analytics_clients` extra client nodes (ids num_clients+1 ..) issue
   // ScanOp::kQuery against a Parquet table on the server's NVMe, scanned by
@@ -82,18 +74,16 @@ struct OverloadClusterOptions {
   // endpoint on node 0 with its own node clock — spatial multiplexing on
   // the same fabric, zero head-of-line coupling with KV. Without it the
   // scan handler shares the KV pipeline (the time-shared contrast arm).
+  // Scans carry no deadline and run on a 2-region FPGA fabric.
   uint32_t analytics_clients = 0;
   uint32_t scan_requests_per_client = 8;
   sim::Duration scan_interarrival = 200 * sim::kMicrosecond;
-  sim::Duration scan_deadline = 0;  // relative; 0 = none
   uint64_t scan_table_rows = 32768;
   uint64_t scan_rows_per_group = 2048;
   bool analytics_spatial = true;
-  uint32_t scan_fabric_regions = 2;
   // Fault plan evaluated on the analytics exec clock, hooked to the scan
   // path's NVMe controller and fabric (PR 1 semantics).
   sim::FaultPlan scan_faults;
-  uint64_t scan_fault_seed = 0x5eed;
 };
 
 // Deterministic run snapshot; equality across shard layouts is the
@@ -148,15 +138,13 @@ class OverloadCluster {
   OverloadCluster& operator=(const OverloadCluster&) = delete;
   ~OverloadCluster();
 
-  uint32_t num_nodes() const {
-    return options_.num_clients + options_.analytics_clients + 1;
-  }
-  uint32_t ShardOf(uint32_t node) const;
+  uint32_t num_nodes() const { return fleet_.num_nodes(); }
+  uint32_t ShardOf(uint32_t node) const { return fleet_.ShardOf(node); }
 
   // Runs every client to completion and snapshots the result. One-shot.
   OverloadResult Run();
 
-  dpu::ShardedRpcNode& server_endpoint() { return *server_->endpoint; }
+  dpu::ShardedRpcNode& server_endpoint() { return *fleet_.node(0).endpoint; }
   const sim::Histogram& merged_latency() const { return merged_latency_; }
   const sim::Histogram& merged_scan_latency() const { return merged_scan_latency_; }
   // Analytics-side fault accounting (null when analytics_clients == 0).
@@ -169,14 +157,12 @@ class OverloadCluster {
   void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  private:
+  // The KV server's services on fleet node 0.
   struct ServerNode {
-    explicit ServerNode(OverloadCluster* cluster);
+    ServerNode(dpu::Fleet::Node& node, OverloadWorkload workload);
     dpu::RpcResponse HandleLsm(uint16_t opcode, const Buffer& payload);
-    sim::Engine clock;  // private cost engine (never holds events)
-    net::Fabric fabric;
-    dpu::Hyperion dpu;
+    sim::Engine* clock;  // node 0's clock
     std::unique_ptr<dpu::HyperionServices> services;
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
     // kLsmKv only: a zoned namespace added to the DPU's controller and the
     // LSM engine formatted onto it, driven on the server's node clock.
     std::unique_ptr<nvme::ZonedNamespace> zns;
@@ -204,11 +190,11 @@ class OverloadCluster {
     std::unique_ptr<dpu::ShardedRpcNode> endpoint;  // spatial mode only
   };
   struct ClientNode {
-    ClientNode(OverloadCluster* cluster, uint32_t id, bool analytics);
+    ClientNode(uint32_t id, bool analytics, dpu::ShardedRpcNode* endpoint)
+        : id(id), analytics(analytics), endpoint(endpoint) {}
     uint32_t id;
     bool analytics;
-    sim::Engine clock;  // endpoint node clock (client side serves nothing)
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
+    dpu::ShardedRpcNode* endpoint;  // the fleet node's
     std::unique_ptr<LoadGen> gen;
     // Analytics accumulators, folded order-independently per completion.
     uint64_t scan_fingerprint = 0;
@@ -225,7 +211,7 @@ class OverloadCluster {
   OverloadResult Collect(sim::SimTime start_base);
 
   OverloadClusterOptions options_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
+  dpu::Fleet fleet_;
   std::unique_ptr<ServerNode> server_;
   std::unique_ptr<AnalyticsTenant> analytics_;
   std::vector<std::unique_ptr<ClientNode>> clients_;

@@ -48,14 +48,15 @@
 #include "src/apps/fail2ban.h"
 #include "src/apps/load_balancer.h"
 #include "src/baseline/host.h"
+#include "src/dpu/fleet.h"
 #include "src/dpu/hyperion.h"
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
 #include "src/fpga/match_action.h"
 #include "src/load/packet_trace.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/flow.h"
-#include "src/sim/parallel.h"
 #include "src/storage/hash_index.h"
 
 namespace hyperion::load {
@@ -231,20 +232,14 @@ class XdpPipeline {
 struct XdpClusterOptions {
   XdpOptions xdp;
   uint32_t num_backends = 3;
-  // 0 = one shard per node; contiguous node->shard blocks (KvCluster map).
+  // 0 = one shard per node (dpu::Fleet's contiguous node->shard map).
   uint32_t num_shards = 0;
   bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
-  net::FabricParams fabric;
-  // Backend-side overload policy for the spray RPCs.
+  // Backend-side overload policy for the spray RPCs, which carry a 2 ms
+  // deadline.
   dpu::RpcOverloadPolicy policy;
-  sim::Duration rpc_deadline = 2 * sim::kMillisecond;
   // Register every Nth admitted new flow with its backend over RPC.
   uint32_t spray_sample = 1;
-  // Trimmed backend DPU sizing.
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 64ull << 20;
-  uint64_t hbm_bytes = 16ull << 20;
 };
 
 struct XdpClusterResult {
@@ -269,43 +264,29 @@ class XdpCluster {
   XdpCluster& operator=(const XdpCluster&) = delete;
   ~XdpCluster();
 
-  uint32_t num_nodes() const { return options_.num_backends + 1; }
-  uint32_t ShardOf(uint32_t node) const;
+  uint32_t num_nodes() const { return fleet_.num_nodes(); }
+  uint32_t ShardOf(uint32_t node) const { return fleet_.ShardOf(node); }
 
   // Drives the whole trace through the ingress node, spraying admitted new
   // flows to the backends. One-shot.
   XdpClusterResult Run();
 
-  XdpPipeline& pipeline() { return *ingress_->pipeline; }
-  obs::Tracer& ingress_tracer() { return ingress_->tracer; }
+  XdpPipeline& pipeline() { return *pipeline_; }
+  obs::Tracer& ingress_tracer() { return ingress_tracer_; }
+
+  // The fleet's endpoint, RPC and NVMe counters, the parallel engine's
+  // tallies, and the ingress pipeline's counters (valid after Run()).
+  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  private:
-  struct IngressNode {
-    explicit IngressNode(XdpCluster* cluster);
-    sim::Engine clock;  // node clock: slow-path costs live here
-    net::Fabric fabric;
-    dpu::Hyperion dpu;
-    obs::Tracer tracer{0};
-    std::unique_ptr<XdpPipeline> pipeline;
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
-  };
-  struct BackendNode {
-    BackendNode(XdpCluster* cluster, uint32_t id);
-    uint32_t id;
-    sim::Engine clock;
-    net::Fabric fabric;
-    dpu::Hyperion dpu;
-    std::unique_ptr<dpu::HyperionServices> services;
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
-  };
-
   void ScheduleBatch(uint64_t first);
   void SprayFlow(const apps::FlowKey& key, const apps::Backend& backend, sim::SimTime now);
 
   XdpClusterOptions options_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::unique_ptr<IngressNode> ingress_;
-  std::vector<std::unique_ptr<BackendNode>> backends_;
+  dpu::Fleet fleet_;  // node 0 is the ingress, 1..N the backends
+  obs::Tracer ingress_tracer_{0};  // the pipeline's per-stage spans
+  std::unique_ptr<XdpPipeline> pipeline_;
+  std::vector<std::unique_ptr<dpu::HyperionServices>> backend_services_;  // nodes 1..N
   sim::SimTime start_base_ = 0;
   uint64_t spray_seen_ = 0;
   uint64_t spray_issued_ = 0;

@@ -17,7 +17,6 @@ namespace {
 using dpu::BlockOp;
 using dpu::Hyperion;
 using dpu::HyperionServices;
-using dpu::LogOp;
 using dpu::RpcClient;
 using dpu::ServiceId;
 
@@ -96,46 +95,6 @@ TEST(IntegrationTest, DistributedKvPartitionsAreIndependent) {
   ASSERT_TRUE(kv.Put(key_on_p0, ByteSpan(value.data(), value.size())).ok());
   EXPECT_TRUE(cluster.services_[0]->kv().Get(key_on_p0).ok());
   EXPECT_FALSE(cluster.services_[1]->kv().Get(key_on_p0).ok());
-}
-
-// -- Replicated log -------------------------------------------------------
-
-TEST(IntegrationTest, ReplicatedLogWriteAllReadOne) {
-  Cluster cluster(3);
-  dpu::ReplicatedLogClient log(cluster.RpcPointers());
-  Bytes entry = ToBytes("replicated-entry");
-  auto position = log.Append(ByteSpan(entry.data(), entry.size()));
-  ASSERT_TRUE(position.ok());
-  EXPECT_EQ(*position, 0u);
-  // Every replica holds the data locally.
-  for (size_t r = 0; r < 3; ++r) {
-    auto local = cluster.services_[r]->log().Read(*position);
-    ASSERT_TRUE(local.ok()) << "replica " << r;
-    EXPECT_EQ(*local, entry);
-  }
-  auto read = log.Read(*position);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, entry);
-}
-
-TEST(IntegrationTest, ReplicatedLogSurvivesReplicaDamageAndRepairs) {
-  Cluster cluster(3);
-  dpu::ReplicatedLogClient log(cluster.RpcPointers());
-  Bytes entry = ToBytes("precious");
-  auto position = log.Append(ByteSpan(entry.data(), entry.size()));
-  ASSERT_TRUE(position.ok());
-
-  // Destroy replica 0's copy (simulated media loss: delete the segment).
-  const mem::SegmentId seg(0xC0F0000000000300ull, *position);
-  ASSERT_TRUE(cluster.dpus_[0]->store().Delete(seg).ok());
-  EXPECT_FALSE(cluster.services_[0]->log().Read(*position).ok());
-
-  // The replicated read falls back to replica 1 and repairs replica 0.
-  auto read = log.Read(*position);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, entry);
-  EXPECT_EQ(log.repairs(), 1u);
-  EXPECT_TRUE(cluster.services_[0]->log().Read(*position).ok());
 }
 
 // -- Multi-tenancy -----------------------------------------------------

@@ -11,7 +11,9 @@
 //                      preloaded sentinel block (the fault-injection rig).
 //   * SmallClusterOptions — the 4-node, 2x8-op seeded KvCluster layout the
 //                      determinism regressions (result and golden-trace)
-//                      share as their oracle workload.
+//                      share as their oracle workload; SmallRepOptions,
+//                      SmallMixedOptions and SmallXdpClusterOptions are the
+//                      same for the other three cluster harnesses.
 //
 // Everything is header-only (inline) because each test binary is its own
 // translation unit; the fixtures use CHECK for setup steps that run in
@@ -41,6 +43,8 @@
 #include "src/dpu/replication.h"
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
+#include "src/load/harness.h"
+#include "src/load/xdp.h"
 #include "src/net/transport.h"
 #include "src/nvme/controller.h"
 #include "src/obs/trace.h"
@@ -190,6 +194,63 @@ inline dpu::ClusterOptions SmallClusterOptions() {
   options.workload.key_space = 128;
   options.workload.write_pct = 50;
   options.workload.seed = 21;
+  return options;
+}
+
+// 2 groups x 2 replicas: four nodes, so the cluster spreads over up to four
+// shards.
+inline dpu::RepClusterOptions SmallRepOptions() {
+  dpu::RepClusterOptions options;
+  options.groups = 2;
+  options.replicas_per_group = 2;
+  options.workload.clients_per_node = 2;
+  options.workload.ops_per_client = 6;
+  options.workload.value_bytes = 32;
+  options.workload.key_space = 64;
+  options.workload.write_pct = 50;
+  options.workload.seed = 21;
+  return options;
+}
+
+// LsmKv over RPC beside one spatial analytics client scanning a Parquet
+// table on the same server.
+inline load::OverloadClusterOptions SmallMixedOptions() {
+  load::OverloadClusterOptions options;
+  options.workload = load::OverloadWorkload::kLsmKv;
+  options.num_clients = 2;
+  options.requests_per_client = 24;
+  options.interarrival = 30 * sim::kMicrosecond;
+  options.kv_key_space = 64;
+  options.analytics_clients = 1;
+  options.analytics_spatial = true;
+  options.scan_requests_per_client = 4;
+  options.scan_interarrival = 300 * sim::kMicrosecond;
+  options.scan_table_rows = 4096;
+  options.scan_rows_per_group = 512;
+  return options;
+}
+
+// An ingress spraying every 4th new flow of a 1,024-flow trace to three
+// admission-controlled backends.
+inline load::XdpClusterOptions SmallXdpClusterOptions() {
+  load::XdpClusterOptions options;
+  options.xdp.trace.benign_flows = 1024;
+  options.xdp.trace.hot_flows = 128;
+  options.xdp.trace.attacker_ips = 4;
+  options.xdp.trace.attack_packets_per_ip = 8;
+  options.xdp.trace.steady_packets = 2048;
+  options.xdp.trace.hot_per_myriad = 9800;
+  options.xdp.trace.ramp_interarrival = 350 * sim::kMicrosecond;
+  options.xdp.trace.frame_bytes = 1024;
+  options.xdp.rx_batch = 32;
+  options.xdp.flow_buckets = 64;
+  options.xdp.lb_resident = 512;
+  options.xdp.lb_spill_buckets = 64;
+  options.xdp.codegen.mem_ports = 2;
+  options.xdp.codegen.helper_cycles = 4;
+  options.num_backends = 3;
+  options.policy.enabled = true;
+  options.spray_sample = 4;
   return options;
 }
 

@@ -15,6 +15,9 @@
 #include <vector>
 
 #include "src/dpu/cluster.h"
+#include "src/dpu/replication.h"
+#include "src/load/harness.h"
+#include "src/load/xdp.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -165,20 +168,38 @@ TEST(GoldenTraceTest, ChromeExportCarriesOneEventPerSpan) {
   EXPECT_EQ(events, merged.size());
 }
 
+template <typename Cluster, typename Options>
+std::string MetricsJson(Options options) {
+  options.num_shards = 2;
+  options.use_threads = true;
+  Cluster cluster(options);
+  cluster.Run();
+  obs::MetricsRegistry registry;
+  cluster.SnapshotMetrics(&registry);
+  return registry.ToJson();
+}
+
 TEST(GoldenTraceTest, MetricsSnapshotIsReproducible) {
   // Same layout, same seed -> byte-identical registry JSON (counters,
-  // histograms, and the parallel engine's tallies all land deterministically).
-  auto snapshot = [] {
-    KvCluster cluster(TracedSmallCluster(/*shards=*/2, /*threads=*/true));
-    cluster.Run();
-    obs::MetricsRegistry registry;
-    cluster.SnapshotMetrics(&registry);
-    return registry.ToJson();
+  // histograms, and the parallel engine's tallies all land deterministically)
+  // for every cluster harness. The replicated run kills a replica, so its
+  // client failover counters are in the snapshot too.
+  RepClusterOptions killed = testutil::SmallRepOptions();
+  killed.kill_at_boundary = 9;
+  auto snapshots = [&killed] {
+    return std::vector<std::string>{
+        MetricsJson<KvCluster>(TracedSmallCluster(/*shards=*/2, /*threads=*/true)),
+        MetricsJson<ReplicatedKvCluster>(killed),
+        MetricsJson<load::OverloadCluster>(testutil::SmallMixedOptions()),
+        MetricsJson<load::XdpCluster>(testutil::SmallXdpClusterOptions())};
   };
-  const std::string first = snapshot();
-  EXPECT_EQ(first, snapshot());
-  EXPECT_NE(first.find("\"rpc/"), std::string::npos);
-  EXPECT_NE(first.find("\"engine/events_run\""), std::string::npos);
+  const std::vector<std::string> first = snapshots();
+  EXPECT_EQ(first, snapshots());
+  for (const std::string& json : first) {
+    EXPECT_NE(json.find("\"rpc/rpc_async_served\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"engine/events_run\""), std::string::npos) << json;
+  }
+  EXPECT_NE(first[1].find("\"store/rep_failovers\""), std::string::npos) << first[1];
 }
 
 TEST(GoldenTraceTest, UntracedClusterKeepsTracersNull) {
