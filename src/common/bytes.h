@@ -21,6 +21,12 @@ using Bytes = std::vector<uint8_t>;
 using ByteSpan = std::span<const uint8_t>;
 using MutableByteSpan = std::span<uint8_t>;
 
+// True when [offset, offset + length) lies inside [0, size). Unlike
+// `offset + length <= size`, the test cannot wrap.
+constexpr bool RangeFits(uint64_t offset, uint64_t length, uint64_t size) {
+  return offset <= size && length <= size - offset;
+}
+
 // -- Little-endian fixed-width append/read ---------------------------------
 //
 // Encode/decode are single memcpys on little-endian targets (every platform

@@ -14,12 +14,12 @@ const net::FabricParams kWire;
 
 }  // namespace
 
-HyperionConfig Fleet::NodeConfig(uint64_t dram_bytes, uint64_t hbm_bytes) {
+HyperionConfig Fleet::NodeConfig() {
   HyperionConfig config;
   config.nvme_devices = 1;
   config.lbas_per_device = kLbasPerDevice;
-  config.dram_bytes = dram_bytes;
-  config.hbm_bytes = hbm_bytes;
+  config.dram_bytes = kDramBytes;
+  config.hbm_bytes = kHbmBytes;
   config.link_gbps = kWire.default_link_gbps;
   return config;
 }

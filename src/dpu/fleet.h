@@ -39,14 +39,14 @@ namespace hyperion::dpu {
 
 class Fleet {
  public:
-  // Trimmed per-node DPU: the cluster experiments care about communication
-  // structure, not per-node capacity, and a rack of full-size nodes would
-  // pay construction time for memory the workloads never touch.
+  // Every node is a U280 with the paper's 32 GiB DDR4 and 8 GiB HBM2. Device
+  // memory is backed lazily (mem::DramDevice), so a node's host cost follows
+  // the bytes its tenant writes, not its capacity, and racks of paper-sized
+  // nodes boot cheaply. Flash is one 128 MiB NVMe device per node.
   static constexpr uint64_t kLbasPerDevice = 32768;
-  static constexpr uint64_t kDramBytes = 64ull << 20;
-  static constexpr uint64_t kHbmBytes = 16ull << 20;
-  static HyperionConfig NodeConfig(uint64_t dram_bytes = kDramBytes,
-                                   uint64_t hbm_bytes = kHbmBytes);
+  static constexpr uint64_t kDramBytes = 32ull << 30;
+  static constexpr uint64_t kHbmBytes = 8ull << 30;
+  static HyperionConfig NodeConfig();
 
   struct Node {
     uint32_t id = 0;

@@ -904,15 +904,6 @@ void ReplicatedKvClient::FinishRecovery(std::shared_ptr<Recovery> rec) {
 
 // -- ReplicatedKvCluster ------------------------------------------------------
 
-namespace {
-
-// Replicas are smaller than the other fleets' nodes: 64-node replicated runs
-// would otherwise pay construction for memory the workload never touches.
-constexpr uint64_t kReplicaDramBytes = 24ull << 20;
-constexpr uint64_t kReplicaHbmBytes = 8ull << 20;
-
-}  // namespace
-
 ReplicatedKvCluster::ReplicatedKvCluster(const RepClusterOptions& options)
     : options_(options),
       fleet_(options.groups * options.replicas_per_group, options.num_shards,
@@ -928,12 +919,11 @@ ReplicatedKvCluster::ReplicatedKvCluster(const RepClusterOptions& options)
     Node& node = nodes_.emplace_back(options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)),
                                      options_.workload.clients_per_node,
                                      options_.workload.ops_per_client);
-    Fleet::Node& booted = fleet_.AddDpu(
-        Fleet::NodeConfig(kReplicaDramBytes, kReplicaHbmBytes), [&](Fleet::Node& dpu_node) {
-          auto installed = ReplicatedKvService::Install(dpu_node.dpu.get(), options_.backend);
-          CHECK(installed.ok());
-          node.service = std::move(*installed);
-        });
+    Fleet::Node& booted = fleet_.AddDpu(Fleet::NodeConfig(), [&](Fleet::Node& dpu_node) {
+      auto installed = ReplicatedKvService::Install(dpu_node.dpu.get(), options_.backend);
+      CHECK(installed.ok());
+      node.service = std::move(*installed);
+    });
     if (options_.kill_at_boundary != RepClusterOptions::kNoKill && options_.kill_node == id) {
       sim::FaultPlan plan;
       plan.AtQuery(sim::FaultSite::kNodeKill, options_.kill_at_boundary);

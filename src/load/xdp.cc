@@ -570,13 +570,9 @@ namespace {
 // Spray RPC deadline, relative to the packet that admitted the flow.
 constexpr sim::Duration kSprayDeadline = 2 * sim::kMillisecond;
 
-dpu::HyperionConfig IngressConfig(const XdpOptions& xdp) {
+dpu::HyperionConfig IngressConfig() {
   dpu::HyperionConfig config = dpu::Fleet::NodeConfig();
   config.lbas_per_device = 65536;
-  // The flow-table directory lives on the HBM tier; size it for the
-  // root buckets plus chain growth.
-  config.hbm_bytes = std::max<uint64_t>(config.hbm_bytes, uint64_t{xdp.flow_buckets} * 4096 * 2);
-  config.dram_bytes = 128ull << 20;
   return config;
 }
 
@@ -592,7 +588,7 @@ XdpCluster::XdpCluster(const XdpClusterOptions& options)
 
   // Id-ordered construction pins cross-shard source order: ingress is
   // node 0, backends 1..N (the OverloadCluster scheme).
-  fleet_.AddDpu(IngressConfig(options_.xdp), [this](dpu::Fleet::Node& node) {
+  fleet_.AddDpu(IngressConfig(), [this](dpu::Fleet::Node& node) {
     auto built = XdpPipeline::Create(node.dpu.get(), options_.xdp);
     CHECK(built.ok()) << built.status().message();
     pipeline_ = std::move(*built);

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <fstream>
 #include <vector>
 
 #include "src/dpu/cluster.h"
 #include "src/dpu/distributed.h"
+#include "src/dpu/fleet.h"
 #include "tests/testutil.h"
 
 namespace hyperion::dpu {
@@ -100,6 +104,31 @@ TEST(KvClusterTest, SingleNodeClusterIsAllLocal) {
   EXPECT_EQ(result.ok_ops, 2ull * 8);
   EXPECT_EQ(result.failed_ops, 0u);
   EXPECT_EQ(cluster.engine().stats().cross_shard_messages, 0u);
+}
+
+// Resident set size of this process, from /proc/self/statm.
+int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(KvClusterTest, SixtyFourPaperSizedNodesBootInBoundedRss) {
+  // 64 nodes x (32 GiB DDR4 + 8 GiB HBM2): device memory is backed only
+  // where the tenant writes, so the rack costs the host what it stores.
+  ASSERT_EQ(Fleet::NodeConfig().dram_bytes, 32ull << 30);
+  ASSERT_EQ(Fleet::NodeConfig().hbm_bytes, 8ull << 30);
+  const int64_t before = ResidentBytes();
+  ClusterOptions options = SmallCluster();
+  options.num_nodes = 64;
+  options.num_shards = 4;
+  KvCluster cluster(options);
+  const ClusterResult result = cluster.Run();
+  EXPECT_EQ(result.ok_ops, 64ull * 2 * 8);
+  EXPECT_EQ(result.failed_ops, 0u);
+  EXPECT_LT(ResidentBytes() - before, int64_t{256} << 20);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Unit + property tests for the single-level store: allocator, segment
-// table (incl. persistence/recovery), object store placement/migration, and
-// the page-based VM baseline it is measured against.
+// table (incl. persistence/recovery), the lazily backed DRAM/HBM device,
+// object store placement/migration, and the page-based VM baseline it is
+// measured against.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/mem/allocator.h"
+#include "src/mem/dram.h"
 #include "src/mem/object_store.h"
 #include "src/mem/segment_table.h"
 #include "src/mem/vm_baseline.h"
@@ -179,6 +182,83 @@ TEST(SegmentTableTest, LoadFromEmptyDeviceIsNotFound) {
   EXPECT_EQ(SegmentTable::LoadFrom(&ctrl, ns, 256).status().code(), StatusCode::kNotFound);
 }
 
+// -- DramDevice ------------------------------------------------------------
+
+constexpr uint64_t kHostPage = 4096;
+
+Bytes Pattern(size_t n, uint8_t seed) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<uint8_t>(seed + 13 * i);
+  }
+  return b;
+}
+
+TEST(DramDeviceTest, FreshDeviceReadsZeroAtBothEnds) {
+  sim::Engine engine;
+  DramDevice dram(&engine, 32ull << 30);  // a U280's DDR4
+  uint8_t byte = 0xFF;
+  ASSERT_TRUE(dram.Read(0, MutableByteSpan(&byte, 1)).ok());
+  EXPECT_EQ(byte, 0);
+  byte = 0xFF;
+  ASSERT_TRUE(dram.Read(dram.capacity() - 1, MutableByteSpan(&byte, 1)).ok());
+  EXPECT_EQ(byte, 0);
+}
+
+TEST(DramDeviceTest, ReadSpanningWrittenAndUntouchedPagesSeesZeros) {
+  sim::Engine engine;
+  DramDevice dram(&engine, 1 << 20);
+  // Fill the tail of page 1; pages 0 and 2 are never written.
+  const Bytes data = Pattern(100, 3);
+  ASSERT_TRUE(dram.Write(2 * kHostPage - data.size(), ByteSpan(data)).ok());
+  Bytes out(3 * kHostPage, 0xAA);
+  ASSERT_TRUE(dram.Read(0, MutableByteSpan(out)).ok());
+  Bytes expected(3 * kHostPage, 0);
+  std::copy(data.begin(), data.end(), expected.begin() + 2 * kHostPage - data.size());
+  EXPECT_EQ(out, expected);
+}
+
+TEST(DramDeviceTest, RoundTripAcrossPageBoundary) {
+  sim::Engine engine;
+  DramDevice dram(&engine, 1 << 20);
+  const Bytes data = Pattern(600, 11);
+  ASSERT_TRUE(dram.Write(kHostPage - 300, ByteSpan(data)).ok());
+  Bytes out(data.size());
+  ASSERT_TRUE(dram.Read(kHostPage - 300, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, data);
+}
+
+TEST(DramDeviceTest, ZeroCapacityRejectsNonEmptyAccess) {
+  // mmap rejects a zero length, so constructing this device CHECK-fails if
+  // it tries to map anything.
+  sim::Engine engine;
+  DramDevice dram(&engine, 0);
+  EXPECT_EQ(dram.capacity(), 0u);
+  uint8_t byte = 0;
+  EXPECT_EQ(dram.Read(0, MutableByteSpan(&byte, 1)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Write(0, ByteSpan(&byte, 1)).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(dram.Read(0, MutableByteSpan()).ok());
+  EXPECT_TRUE(dram.Write(0, ByteSpan()).ok());
+}
+
+TEST(DramDeviceTest, WrappingAddressIsOutOfRange) {
+  sim::Engine engine;
+  DramDevice dram(&engine, 64);
+  // UINT64_MAX - 7 + 16 wraps to 8, inside the device.
+  const uint64_t wrapping = UINT64_MAX - 7;
+  Bytes buf(16);
+  EXPECT_EQ(dram.Read(wrapping, MutableByteSpan(buf)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Write(wrapping, ByteSpan(buf)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Read(65, MutableByteSpan()).code(), StatusCode::kOutOfRange);
+}
+
+TEST(DramDeviceDeathTest, FailedReservationNamesTheCapacity) {
+  sim::Engine engine;
+  // 2^60 bytes exceed every 64-bit host's user address space.
+  EXPECT_DEATH(DramDevice(&engine, uint64_t{1} << 60),
+               "cannot reserve 1152921504606846976 bytes of device memory");
+}
+
 // -- ObjectStore -------------------------------------------------------------
 
 class ObjectStoreTest : public ::testing::Test {
@@ -190,14 +270,6 @@ class ObjectStoreTest : public ::testing::Test {
     config.hbm_bytes = 256 << 10;
     config.nvme_nsid = nsid_;
     store_ = std::make_unique<ObjectStore>(&engine_, &ctrl_, config);
-  }
-
-  Bytes Pattern(size_t n, uint8_t seed) {
-    Bytes b(n);
-    for (size_t i = 0; i < n; ++i) {
-      b[i] = static_cast<uint8_t>(seed + 13 * i);
-    }
-    return b;
   }
 
   sim::Engine engine_;
@@ -250,6 +322,22 @@ TEST_F(ObjectStoreTest, BoundsEnforced) {
   Bytes data(50);
   EXPECT_FALSE(store_->Write(*id, 60, ByteSpan(data.data(), data.size())).ok());
   EXPECT_FALSE(store_->Read(*id, 90, 20).ok());
+}
+
+TEST_F(ObjectStoreTest, WrappingOffsetIsOutOfRangeOnDramAndHbm) {
+  for (const SegmentHints hints : {SegmentHints{}, SegmentHints{.performance_critical = true}}) {
+    auto id = store_->Create(64, hints);
+    ASSERT_TRUE(id.ok());
+    const Location loc = store_->Describe(*id)->location;
+    EXPECT_EQ(loc, hints.performance_critical ? Location::kHbm : Location::kDram);
+    // UINT64_MAX - 7 + 16 wraps to 8, inside the segment.
+    const uint64_t wrapping = UINT64_MAX - 7;
+    Bytes buf(16);
+    EXPECT_EQ(store_->Read(*id, wrapping, 16).status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(store_->ReadInto(*id, wrapping, MutableByteSpan(buf)).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(store_->Write(*id, wrapping, ByteSpan(buf)).code(), StatusCode::kOutOfRange);
+  }
 }
 
 TEST_F(ObjectStoreTest, MigratePreservesContents) {
