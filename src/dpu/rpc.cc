@@ -249,7 +249,10 @@ void RpcServer::RegisterService(ServiceId service, Handler handler) {
 }
 
 RpcResponse RpcServer::Dispatch(const RpcRequest& request, obs::TraceContext context) {
-  counters_.Increment("rpcs");
+  if (h_rpcs_ == kUnresolved) [[unlikely]] {
+    h_rpcs_ = counters_.Intern("rpcs");
+  }
+  counters_.Increment(h_rpcs_);
   auto it = handlers_.find(request.service);
   if (it == handlers_.end()) {
     counters_.Increment("rpc_unknown_service");
@@ -269,7 +272,10 @@ RpcResponse RpcServer::Dispatch(const RpcRequest& request, obs::TraceContext con
       admission_clock_->Advance(reject_cost_);
       return RpcResponse::Fail(ResourceExhausted("server overloaded"));
     }
-    counters_.Increment("rpc_admitted");
+    if (h_admitted_ == kUnresolved) [[unlikely]] {
+      h_admitted_ = counters_.Intern("rpc_admitted");
+    }
+    counters_.Increment(h_admitted_);
     RpcResponse response;
     {
       obs::ScopedSpan dispatch(tracer_, clock_, obs::Subsystem::kRpc, "rpc.dispatch", context);
@@ -312,7 +318,10 @@ Result<RpcResponse> RpcClient::Attempt(const RpcRequest& request) {
   // Model the decode round trip through the frame codec for fidelity; the
   // decoded payload is a slice of the wire frame, not a copy.
   ASSIGN_OR_RETURN(RpcResponse decoded, ParseResponseFrame(wire_response));
-  counters_.Add("copy_bytes", BufferCopiedBytes() - copies_before);
+  if (h_copy_bytes_ == kUnresolved) [[unlikely]] {
+    h_copy_bytes_ = counters_.Intern("copy_bytes");
+  }
+  counters_.Add(h_copy_bytes_, BufferCopiedBytes() - copies_before);
   return decoded;
 }
 

@@ -146,6 +146,11 @@ class RpcServer {
   sim::AdmissionController* admission_ = nullptr;
   sim::Engine* admission_clock_ = nullptr;
   sim::Duration reject_cost_ = 200;
+  // Per-request counter slots, interned lazily at first bump so untouched
+  // counters never appear in Snapshot().
+  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
+  sim::Counters::Handle h_rpcs_ = kUnresolved;
+  sim::Counters::Handle h_admitted_ = kUnresolved;
 };
 
 // Retry policy for client calls: transient failures (lost or corrupted
@@ -211,6 +216,8 @@ class RpcClient {
   sim::FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   sim::Counters counters_;
+  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
+  sim::Counters::Handle h_copy_bytes_ = kUnresolved;  // interned at first attempt
 };
 
 // -- Sharded asynchronous RPC (PR 3) -----------------------------------------

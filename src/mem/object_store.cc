@@ -90,7 +90,7 @@ Status ObjectStore::CreateWithId(SegmentId id, uint64_t size, SegmentHints hints
   if (size == 0) {
     return InvalidArgument("zero-size segment");
   }
-  if (table_.Lookup(id).ok()) {
+  if (table_.Contains(id)) {
     return AlreadyExists("segment id in use");
   }
   ASSIGN_OR_RETURN(Location loc, PickLocation(size, hints));
@@ -102,83 +102,97 @@ Status ObjectStore::CreateWithId(SegmentId id, uint64_t size, SegmentHints hints
   seg.base = base;
   seg.durable = hints.durable;
   RETURN_IF_ERROR(table_.Insert(seg));
-  counters_.Increment("segments_created");
+  if (h_segments_created_ == kUnresolved) [[unlikely]] {
+    h_segments_created_ = counters_.Intern("segments_created");
+  }
+  counters_.Increment(h_segments_created_);
   return Status::Ok();
 }
 
 Status ObjectStore::Delete(SegmentId id) {
   ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
   RETURN_IF_ERROR(FreeIn(seg.location, seg.base, seg.size));
-  access_counts_.erase(id);
   return table_.Erase(id);
 }
 
 Result<Segment> ObjectStore::Describe(SegmentId id) const { return table_.Lookup(id); }
 
-Status ObjectStore::Write(SegmentId id, uint64_t offset, ByteSpan data) {
+const Segment* ObjectStore::Translate(SegmentId id) {
   engine_->Advance(SegmentTable::kLookupCost);
-  counters_.Increment("translations");
-  ++access_counts_[id];
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (!RangeFits(offset, data.size(), seg.size)) {
+  if (h_translations_ == kUnresolved) [[unlikely]] {
+    h_translations_ = counters_.Intern("translations");
+  }
+  counters_.Increment(h_translations_);
+  return table_.Translate(id);
+}
+
+Status ObjectStore::Write(SegmentId id, uint64_t offset, ByteSpan data) {
+  const Segment* seg = Translate(id);
+  if (seg == nullptr) {
+    return NotFound("segment not mapped");
+  }
+  if (!RangeFits(offset, data.size(), seg->size)) {
     return OutOfRange("write past end of segment");
   }
-  switch (seg.location) {
+  switch (seg->location) {
     case Location::kDram:
-      return dram_.Write(seg.base + offset, data);
+      return dram_.Write(seg->base + offset, data);
     case Location::kHbm:
-      return hbm_.Write(seg.base + offset, data);
+      return hbm_.Write(seg->base + offset, data);
     case Location::kNvme:
-      return WriteNvme(seg, offset, data);
+      return WriteNvme(*seg, offset, data);
   }
   return Internal("bad location");
 }
 
 Result<Bytes> ObjectStore::Read(SegmentId id, uint64_t offset, uint64_t length) {
-  engine_->Advance(SegmentTable::kLookupCost);
-  counters_.Increment("translations");
-  ++access_counts_[id];
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (!RangeFits(offset, length, seg.size)) {
+  const Segment* seg = Translate(id);
+  if (seg == nullptr) {
+    return NotFound("segment not mapped");
+  }
+  if (!RangeFits(offset, length, seg->size)) {
     return OutOfRange("read past end of segment");
   }
-  switch (seg.location) {
-    case Location::kDram: {
-      Bytes out(length);
-      RETURN_IF_ERROR(dram_.Read(seg.base + offset, MutableByteSpan(out)));
+  Bytes out(length);
+  switch (seg->location) {
+    case Location::kDram:
+      RETURN_IF_ERROR(dram_.Read(seg->base + offset, MutableByteSpan(out)));
       return out;
-    }
-    case Location::kHbm: {
-      Bytes out(length);
-      RETURN_IF_ERROR(hbm_.Read(seg.base + offset, MutableByteSpan(out)));
+    case Location::kHbm:
+      RETURN_IF_ERROR(hbm_.Read(seg->base + offset, MutableByteSpan(out)));
       return out;
-    }
     case Location::kNvme:
-      return ReadNvme(seg, offset, length);
+      RETURN_IF_ERROR(ReadNvme(*seg, offset, MutableByteSpan(out)));
+      return out;
   }
   return Internal("bad location");
 }
 
 Status ObjectStore::ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out) {
-  engine_->Advance(SegmentTable::kLookupCost);
-  counters_.Increment("translations");
-  ++access_counts_[id];
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (!RangeFits(offset, out.size(), seg.size)) {
+  const Segment* seg = Translate(id);
+  if (seg == nullptr) {
+    return NotFound("segment not mapped");
+  }
+  if (!RangeFits(offset, out.size(), seg->size)) {
     return OutOfRange("read past end of segment");
   }
-  switch (seg.location) {
+  switch (seg->location) {
     case Location::kDram:
-      return dram_.Read(seg.base + offset, out);
+      return dram_.Read(seg->base + offset, out);
     case Location::kHbm:
-      return hbm_.Read(seg.base + offset, out);
-    case Location::kNvme: {
-      ASSIGN_OR_RETURN(Bytes data, ReadNvme(seg, offset, out.size()));
-      std::copy(data.begin(), data.end(), out.begin());
-      return Status::Ok();
-    }
+      return hbm_.Read(seg->base + offset, out);
+    case Location::kNvme:
+      return ReadNvme(*seg, offset, out);
   }
   return Internal("bad location");
+}
+
+MutableByteSpan ObjectStore::NvmeScratch(uint32_t blocks) {
+  const size_t bytes = static_cast<size_t>(blocks) * nvme::kLbaSize;
+  if (nvme_scratch_.size() < bytes) {
+    nvme_scratch_.resize(bytes);
+  }
+  return MutableByteSpan(nvme_scratch_.data(), bytes);
 }
 
 Status ObjectStore::WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data) {
@@ -187,26 +201,30 @@ Status ObjectStore::WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data
   const uint64_t end = offset + data.size();
   const uint64_t last_lba = seg.base + (end - 1) / nvme::kLbaSize;
   const auto count = static_cast<uint32_t>(last_lba - first_lba + 1);
-  Bytes block;
   const uint64_t head_skew = offset % nvme::kLbaSize;
   const bool aligned = head_skew == 0 && data.size() % nvme::kLbaSize == 0;
   if (aligned) {
     return nvme_->Write(config_.nvme_nsid, first_lba, data);
   }
-  ASSIGN_OR_RETURN(block, nvme_->Read(config_.nvme_nsid, first_lba, count));
+  MutableByteSpan block = NvmeScratch(count);
+  RETURN_IF_ERROR(nvme_->ReadInto(config_.nvme_nsid, first_lba, block));
   std::copy(data.begin(), data.end(), block.begin() + static_cast<ptrdiff_t>(head_skew));
-  return nvme_->Write(config_.nvme_nsid, first_lba, ByteSpan(block.data(), block.size()));
+  return nvme_->Write(config_.nvme_nsid, first_lba, block);
 }
 
-Result<Bytes> ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, uint64_t length) {
+Status ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, MutableByteSpan out) {
   const uint64_t first_lba = seg.base + offset / nvme::kLbaSize;
-  const uint64_t end = offset + length;
-  const uint64_t last_lba = seg.base + (end - 1) / nvme::kLbaSize;
-  const auto count = static_cast<uint32_t>(last_lba - first_lba + 1);
-  ASSIGN_OR_RETURN(Bytes block, nvme_->Read(config_.nvme_nsid, first_lba, count));
   const uint64_t head_skew = offset % nvme::kLbaSize;
-  return Bytes(block.begin() + static_cast<ptrdiff_t>(head_skew),
-               block.begin() + static_cast<ptrdiff_t>(head_skew + length));
+  if (head_skew == 0 && out.size() % nvme::kLbaSize == 0) {
+    // Aligned: the covering blocks are exactly `out`.
+    return nvme_->ReadInto(config_.nvme_nsid, first_lba, out);
+  }
+  const uint64_t end = offset + out.size();
+  const uint64_t last_lba = seg.base + (end - 1) / nvme::kLbaSize;
+  MutableByteSpan block = NvmeScratch(static_cast<uint32_t>(last_lba - first_lba + 1));
+  RETURN_IF_ERROR(nvme_->ReadInto(config_.nvme_nsid, first_lba, block));
+  std::copy_n(block.begin() + static_cast<ptrdiff_t>(head_skew), out.size(), out.begin());
+  return Status::Ok();
 }
 
 Status ObjectStore::Migrate(SegmentId id, Location target) {
@@ -228,11 +246,6 @@ Status ObjectStore::Migrate(SegmentId id, Location target) {
   RETURN_IF_ERROR(FreeIn(old_loc, old_base, seg.size));
   counters_.Increment("migrations");
   return Status::Ok();
-}
-
-uint64_t ObjectStore::AccessCount(SegmentId id) const {
-  auto it = access_counts_.find(id);
-  return it == access_counts_.end() ? 0 : it->second;
 }
 
 Result<uint64_t> ObjectStore::PromoteHot(uint64_t min_accesses, size_t max_promotions) {
@@ -262,7 +275,7 @@ Result<uint64_t> ObjectStore::PromoteHot(uint64_t min_accesses, size_t max_promo
     RETURN_IF_ERROR(Migrate(id, Location::kDram));
     ++promoted;
   }
-  access_counts_.clear();  // epoch-based decay
+  table_.ResetAccessCounts();  // epoch-based decay
   counters_.Add("promotions", promoted);
   return promoted;
 }

@@ -9,15 +9,21 @@
 //
 // Every access pays exactly one segment-table translation (object-granular)
 // plus the media cost of the tier — no page tables, no TLBs, no pinning, no
-// host OS. Crash recovery reloads the persisted segment table and drops
-// ephemeral (DRAM/HBM) segments, keeping durable ones.
+// host OS. In the simulator the translation is one hash probe too: the
+// entry it finds carries the segment's access count. Crash recovery reloads
+// the persisted segment table and drops ephemeral (DRAM/HBM) segments,
+// keeping durable ones; access counts restart at 0.
+//
+// ReadInto is the copy-free read: DRAM/HBM bytes and LBA-aligned NVMe
+// blocks land straight in the caller's buffer. Unaligned NVMe reads and
+// the read-modify-write of unaligned NVMe writes stage through one scratch
+// block the store reuses.
 
 #ifndef HYPERION_SRC_MEM_OBJECT_STORE_H_
 #define HYPERION_SRC_MEM_OBJECT_STORE_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "src/common/result.h"
 #include "src/mem/allocator.h"
@@ -66,8 +72,9 @@ class ObjectStore {
   // Returns the number promoted.
   Result<uint64_t> PromoteHot(uint64_t min_accesses, size_t max_promotions);
 
-  // Accesses recorded for a segment since the last PromoteHot sweep.
-  uint64_t AccessCount(SegmentId id) const;
+  // Accesses recorded for a segment since it was created, recovered or
+  // last swept by PromoteHot (0 when it does not exist).
+  uint64_t AccessCount(SegmentId id) const { return table_.AccessCount(id); }
 
   Result<Segment> Describe(SegmentId id) const;
   size_t SegmentCount() const { return table_.size(); }
@@ -88,8 +95,13 @@ class ObjectStore {
   Result<uint64_t> AllocateIn(Location loc, uint64_t size);
   Status FreeIn(Location loc, uint64_t base, uint64_t size);
 
+  // Charges and counts one translation of `id`; null when it is unmapped.
+  const Segment* Translate(SegmentId id);
+
   Status WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data);
-  Result<Bytes> ReadNvme(const Segment& seg, uint64_t offset, uint64_t length);
+  Status ReadNvme(const Segment& seg, uint64_t offset, MutableByteSpan out);
+  // The covering blocks of an unaligned NVMe access, in the reused scratch.
+  MutableByteSpan NvmeScratch(uint32_t blocks);
 
   sim::Engine* engine_;
   nvme::Controller* nvme_;
@@ -102,9 +114,14 @@ class ObjectStore {
   RangeAllocator nvme_alloc_;  // LBA-granular, excludes the boot area
 
   SegmentTable table_;
-  std::unordered_map<SegmentId, uint64_t> access_counts_;
   uint64_t next_id_ = 1;
+  Bytes nvme_scratch_;
   sim::Counters counters_;
+  // Per-access counter slots, interned lazily at first bump so untouched
+  // counters never appear in Snapshot().
+  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
+  sim::Counters::Handle h_translations_ = kUnresolved;
+  sim::Counters::Handle h_segments_created_ = kUnresolved;
 };
 
 }  // namespace hyperion::mem

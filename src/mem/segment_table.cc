@@ -17,7 +17,7 @@ Status SegmentTable::Insert(const Segment& segment) {
   if (segment.size == 0) {
     return InvalidArgument("zero-size segment");
   }
-  auto [it, inserted] = entries_.emplace(segment.id, segment);
+  auto [it, inserted] = entries_.emplace(segment.id, Entry{segment});
   if (!inserted) {
     return AlreadyExists("segment id already mapped");
   }
@@ -36,7 +36,27 @@ Result<Segment> SegmentTable::Lookup(SegmentId id) const {
   if (it == entries_.end()) {
     return NotFound("segment not mapped");
   }
-  return it->second;
+  return it->second.segment;
+}
+
+const Segment* SegmentTable::Translate(SegmentId id) {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) {
+    return nullptr;
+  }
+  ++it->second.accesses;
+  return &it->second.segment;
+}
+
+uint64_t SegmentTable::AccessCount(SegmentId id) const {
+  auto it = entries_.find(id);
+  return it == entries_.end() ? 0 : it->second.accesses;
+}
+
+void SegmentTable::ResetAccessCounts() {
+  for (auto& [id, entry] : entries_) {
+    entry.accesses = 0;
+  }
 }
 
 Status SegmentTable::Update(const Segment& segment) {
@@ -44,15 +64,15 @@ Status SegmentTable::Update(const Segment& segment) {
   if (it == entries_.end()) {
     return NotFound("segment not mapped");
   }
-  it->second = segment;
+  it->second.segment = segment;
   return Status::Ok();
 }
 
 std::vector<Segment> SegmentTable::Entries() const {
   std::vector<Segment> out;
   out.reserve(entries_.size());
-  for (const auto& [id, seg] : entries_) {
-    out.push_back(seg);
+  for (const auto& [id, entry] : entries_) {
+    out.push_back(entry.segment);
   }
   std::sort(out.begin(), out.end(),
             [](const Segment& a, const Segment& b) { return a.id < b.id; });

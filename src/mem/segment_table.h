@@ -59,7 +59,20 @@ class SegmentTable {
   // baseline).
   Result<Segment> Lookup(SegmentId id) const;
 
-  Status Update(const Segment& segment);  // kNotFound if absent
+  // The access-path form of Lookup: one hash probe that finds the entry and
+  // counts the access in it. Null when `id` is not mapped (no Status is
+  // built). The pointer is valid until the entry is erased.
+  const Segment* Translate(SegmentId id);
+
+  bool Contains(SegmentId id) const { return entries_.find(id) != entries_.end(); }
+
+  // Accesses Translate counted for `id` since its entry was inserted or
+  // the last ResetAccessCounts (0 when unmapped). Counts are volatile: they
+  // are not persisted, so a reloaded table starts every entry at 0.
+  uint64_t AccessCount(SegmentId id) const;
+  void ResetAccessCounts();
+
+  Status Update(const Segment& segment);  // kNotFound if absent; keeps the count
 
   size_t size() const { return entries_.size(); }
   std::vector<Segment> Entries() const;  // sorted by id, for persistence/tests
@@ -79,7 +92,11 @@ class SegmentTable {
                                        uint64_t boot_area_lbas);
 
  private:
-  std::unordered_map<SegmentId, Segment> entries_;
+  struct Entry {
+    Segment segment;
+    uint64_t accesses = 0;
+  };
+  std::unordered_map<SegmentId, Entry> entries_;
 };
 
 }  // namespace hyperion::mem

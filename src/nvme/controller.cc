@@ -39,7 +39,7 @@ FlashDevice* Controller::GetNamespace(uint32_t nsid) {
   return namespaces_[nsid - 1].get();
 }
 
-Completion Controller::Execute(const Command& cmd) {
+Completion Controller::Execute(const Command& cmd, MutableByteSpan read_into) {
   Completion cqe;
   cqe.cid = cmd.cid;
   FlashDevice* ns = GetNamespace(cmd.nsid);
@@ -72,11 +72,15 @@ Completion Controller::Execute(const Command& cmd) {
         cqe.status = CmdStatus::kMediaError;
         return cqe;
       }
-      cqe.data.resize(static_cast<size_t>(blocks) * kLbaSize);
+      MutableByteSpan dest = read_into;
+      if (dest.empty()) {
+        cqe.data.resize(static_cast<size_t>(blocks) * kLbaSize);
+        dest = MutableByteSpan(cqe.data);
+      }
+      CHECK_EQ(dest.size(), static_cast<size_t>(blocks) * kLbaSize);
       for (uint32_t i = 0; i < blocks; ++i) {
         CHECK_OK(ns->ReadBlock(cmd.slba + i,
-                               MutableByteSpan(cqe.data.data() + static_cast<size_t>(i) * kLbaSize,
-                                               kLbaSize)));
+                               dest.subspan(static_cast<size_t>(i) * kLbaSize, kLbaSize)));
       }
       if (h_reads_ == kUnresolved) [[unlikely]] {
         h_reads_ = counters_.Intern("nvme_reads");
@@ -232,15 +236,15 @@ std::optional<Completion> Controller::Reap(uint16_t qid) {
   return queues_[qid - 1]->cq.Reap();
 }
 
-Completion Controller::ExecuteWithRetry(Command cmd) {
+Completion Controller::ExecuteWithRetry(Command cmd, MutableByteSpan read_into) {
   for (uint32_t attempt = 0;; ++attempt) {
     Completion cqe;
     if (attempt == 0) {
-      cqe = Execute(cmd);
+      cqe = Execute(cmd, read_into);
     } else {
       // Recovery span: one per reissue, covering the repeated media trip.
       obs::ScopedSpan retry(tracer_, engine_, obs::Subsystem::kNvme, "nvme.retry");
-      cqe = Execute(cmd);
+      cqe = Execute(cmd, read_into);
     }
     if (cqe.status == CmdStatus::kSuccess) {
       if (attempt > 0) {
@@ -260,10 +264,8 @@ Completion Controller::ExecuteWithRetry(Command cmd) {
   }
 }
 
-Result<Bytes> Controller::Read(uint32_t nsid, uint64_t slba, uint32_t block_count) {
-  if (block_count == 0) {
-    return InvalidArgument("zero-length read");
-  }
+Completion Controller::SyncRead(uint32_t nsid, uint64_t slba, uint32_t block_count,
+                                MutableByteSpan read_into) {
   obs::ScopedSpan span(tracer_, engine_, obs::Subsystem::kNvme, "nvme.read");
   Command cmd;
   cmd.cid = next_cid_++;
@@ -271,14 +273,36 @@ Result<Bytes> Controller::Read(uint32_t nsid, uint64_t slba, uint32_t block_coun
   cmd.nsid = nsid;
   cmd.slba = slba;
   cmd.nlb = block_count - 1;
-  Completion cqe = ExecuteWithRetry(std::move(cmd));
-  if (cqe.status != CmdStatus::kSuccess) {
-    if (IsTransient(cqe.status)) {
-      return DataLoss("NVMe read failed after retries");
-    }
-    return OutOfRange("NVMe read failed");
+  return ExecuteWithRetry(std::move(cmd), read_into);
+}
+
+namespace {
+Status ReadStatus(CmdStatus status) {
+  if (status == CmdStatus::kSuccess) {
+    return Status::Ok();
   }
+  if (IsTransient(status)) {
+    return DataLoss("NVMe read failed after retries");
+  }
+  return OutOfRange("NVMe read failed");
+}
+}  // namespace
+
+Result<Bytes> Controller::Read(uint32_t nsid, uint64_t slba, uint32_t block_count) {
+  if (block_count == 0) {
+    return InvalidArgument("zero-length read");
+  }
+  Completion cqe = SyncRead(nsid, slba, block_count, {});
+  RETURN_IF_ERROR(ReadStatus(cqe.status));
   return std::move(cqe.data);
+}
+
+Status Controller::ReadInto(uint32_t nsid, uint64_t slba, MutableByteSpan out) {
+  if (out.empty() || out.size() % kLbaSize != 0) {
+    return InvalidArgument("read must be a whole number of LBAs");
+  }
+  return ReadStatus(
+      SyncRead(nsid, slba, static_cast<uint32_t>(out.size() / kLbaSize), out).status);
 }
 
 Status Controller::Write(uint32_t nsid, uint64_t slba, ByteSpan data) {

@@ -80,6 +80,10 @@ class Controller {
   // the cost model, not doorbell mechanics.
 
   Result<Bytes> Read(uint32_t nsid, uint64_t slba, uint32_t block_count);
+  // Same command, cost and accounting as Read, but the blocks land straight
+  // in `out` (a whole number of LBAs starting at `slba`): no completion
+  // buffer is allocated or copied.
+  Status ReadInto(uint32_t nsid, uint64_t slba, MutableByteSpan out);
   Status Write(uint32_t nsid, uint64_t slba, ByteSpan data);  // data = N * kLbaSize
   // Scatter-gather write: the command references `data`'s segments (no
   // staging copy). Same size contract as Write.
@@ -112,11 +116,16 @@ class Controller {
   const sim::Counters& counters() const { return counters_; }
 
  private:
-  Completion Execute(const Command& cmd);
+  // A read's blocks go to `read_into` when it is non-empty (it must hold
+  // exactly the command's blocks), else to the completion's data.
+  Completion Execute(const Command& cmd, MutableByteSpan read_into = {});
   FlashDevice* GetNamespace(uint32_t nsid);
   // Executes `cmd` and reissues it (fresh cid) on transient failure until
   // it succeeds, fails deterministically, or exhausts the retry budget.
-  Completion ExecuteWithRetry(Command cmd);
+  Completion ExecuteWithRetry(Command cmd, MutableByteSpan read_into = {});
+  // The synchronous read both Read and ReadInto issue.
+  Completion SyncRead(uint32_t nsid, uint64_t slba, uint32_t block_count,
+                      MutableByteSpan read_into);
 
   sim::Engine* engine_;
   std::vector<std::unique_ptr<FlashDevice>> namespaces_;

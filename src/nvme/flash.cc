@@ -29,7 +29,13 @@ Status FlashDevice::WriteBlock(uint64_t lba, ByteSpan data) {
   if (data.size() != kLbaSize) {
     return InvalidArgument("write buffer must be one LBA");
   }
-  blocks_[lba] = Bytes(data.begin(), data.end());
+  // A rewrite lands in the block's existing storage (no reallocation).
+  auto [it, inserted] = blocks_.try_emplace(lba);
+  if (inserted) {
+    it->second.assign(data.begin(), data.end());
+  } else {
+    std::copy(data.begin(), data.end(), it->second.begin());
+  }
   return Status::Ok();
 }
 

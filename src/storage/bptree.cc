@@ -16,6 +16,7 @@ struct BPlusTree::Node {
 
   Bytes Serialize() const {
     Bytes out;
+    out.reserve(kNodeBytes);  // WriteNode pads to a full node: one allocation
     out.push_back(is_leaf ? 1 : 0);
     PutU32(out, static_cast<uint32_t>(keys.size()));
     PutU64(out, next_leaf);
@@ -84,6 +85,93 @@ Result<NodeView> ParseBPlusNode(ByteSpan raw) {
   return view;
 }
 
+namespace {
+// Node image layout: is_leaf u8, count u32, next_leaf u64, count keys, then
+// count length-prefixed values (leaf) or count + 1 child ids (inner).
+constexpr size_t kKeysAt = 13;
+}  // namespace
+
+Result<RawNodeView> RawNodeView::Open(ByteSpan raw) {
+  // The checks and their order follow Node::Deserialize, so a bad image
+  // fails here exactly as it fails to decode.
+  RawNodeView view(raw);
+  view.is_leaf_ = !raw.empty() && raw[0] != 0;
+  view.count_ = raw.size() >= 5 ? GetU32(raw, 1) : 0;
+  if (view.count_ > BPlusTree::kNodeBytes / 8) {
+    return DataLoss("implausible B+ node entry count");
+  }
+  size_t at = kKeysAt + 8 * static_cast<size_t>(view.count_);
+  if (!view.is_leaf_) {
+    at += 8 * (static_cast<size_t>(view.count_) + 1);
+  }
+  if (raw.size() < at) {
+    return DataLoss("truncated B+ node");
+  }
+  if (view.is_leaf_) {
+    for (uint32_t i = 0; i < view.count_; ++i) {
+      if (raw.size() - at < 4 || raw.size() - at - 4 < GetU32(raw, at)) {
+        return DataLoss("truncated B+ node");
+      }
+      at += 4 + GetU32(raw, at);
+    }
+  }
+  return view;
+}
+
+uint64_t RawNodeView::next_leaf() const { return GetU64(raw_, 5); }
+
+uint64_t RawNodeView::key(uint32_t i) const { return GetU64(raw_, kKeysAt + 8 * size_t{i}); }
+
+uint64_t RawNodeView::child(uint32_t i) const {
+  return GetU64(raw_, kKeysAt + 8 * (size_t{count_} + i));
+}
+
+ByteSpan RawNodeView::value(uint32_t i) const {
+  size_t at = kKeysAt + 8 * size_t{count_};
+  for (uint32_t skip = 0; skip < i; ++skip) {
+    at += 4 + GetU32(raw_, at);
+  }
+  return raw_.subspan(at + 4, GetU32(raw_, at));
+}
+
+uint32_t RawNodeView::LowerBound(uint64_t k) const {
+  uint32_t first = 0;
+  uint32_t len = count_;
+  while (len > 0) {
+    const uint32_t half = len >> 1;
+    if (key(first + half) < k) {
+      first += half + 1;
+      len -= half + 1;
+    } else {
+      len = half;
+    }
+  }
+  return first;
+}
+
+uint32_t RawNodeView::UpperBound(uint64_t k) const {
+  uint32_t first = 0;
+  uint32_t len = count_;
+  while (len > 0) {
+    const uint32_t half = len >> 1;
+    if (k < key(first + half)) {
+      len = half;
+    } else {
+      first += half + 1;
+      len -= half + 1;
+    }
+  }
+  return first;
+}
+
+std::optional<ByteSpan> RawNodeView::Find(uint64_t k) const {
+  const uint32_t pos = LowerBound(k);
+  if (pos == count_ || key(pos) != k) {
+    return std::nullopt;
+  }
+  return value(pos);
+}
+
 mem::SegmentId BPlusTree::NodeSegment(uint64_t node_id) const {
   return BPlusNodeSegment(tree_id_, node_id);
 }
@@ -104,10 +192,11 @@ Result<uint64_t> BPlusTree::AllocateNode(const Node& node) {
   return id;
 }
 
-Result<BPlusTree::Node> BPlusTree::ReadNode(uint64_t node_id) {
+Result<RawNodeView> BPlusTree::ReadNode(uint64_t node_id, Bytes& image) {
   ++node_reads_;
-  ASSIGN_OR_RETURN(Bytes raw, store_->Read(NodeSegment(node_id), 0, kNodeBytes));
-  return Node::Deserialize(ByteSpan(raw.data(), raw.size()));
+  image.resize(kNodeBytes);
+  RETURN_IF_ERROR(store_->ReadInto(NodeSegment(node_id), 0, MutableByteSpan(image)));
+  return RawNodeView::Open(image);
 }
 
 Status BPlusTree::WriteNode(uint64_t node_id, const Node& node) {
@@ -118,9 +207,16 @@ Status BPlusTree::WriteNode(uint64_t node_id, const Node& node) {
 
 Result<std::optional<std::pair<uint64_t, uint64_t>>> BPlusTree::InsertRec(uint64_t node_id,
                                                                           uint64_t key,
-                                                                          ByteSpan value) {
-  ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-  if (node.is_leaf) {
+                                                                          ByteSpan value,
+                                                                          size_t depth) {
+  // Index path_images_ afresh after any recursion: a deeper level may grow
+  // (and so move) the vector.
+  if (depth == path_images_.size()) {
+    path_images_.emplace_back();
+  }
+  ASSIGN_OR_RETURN(RawNodeView view, ReadNode(node_id, path_images_[depth]));
+  if (view.is_leaf()) {
+    ASSIGN_OR_RETURN(Node node, Node::Deserialize(path_images_[depth]));
     auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
     const size_t pos = static_cast<size_t>(it - node.keys.begin());
     if (it != node.keys.end() && *it == key) {
@@ -150,12 +246,13 @@ Result<std::optional<std::pair<uint64_t, uint64_t>>> BPlusTree::InsertRec(uint64
     return std::make_optional(std::make_pair(right.keys.front(), right_id));
   }
   // Inner: route to the child covering `key`.
-  auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
-  const size_t child_idx = static_cast<size_t>(it - node.keys.begin());
-  ASSIGN_OR_RETURN(auto split, InsertRec(node.children[child_idx], key, value));
+  const uint32_t child_idx = view.UpperBound(key);
+  ASSIGN_OR_RETURN(auto split, InsertRec(view.child(child_idx), key, value, depth + 1));
   if (!split.has_value()) {
     return std::optional<std::pair<uint64_t, uint64_t>>{};
   }
+  // The split lands here: decode this node from the image read above.
+  ASSIGN_OR_RETURN(Node node, Node::Deserialize(path_images_[depth]));
   node.keys.insert(node.keys.begin() + static_cast<ptrdiff_t>(child_idx), split->first);
   node.children.insert(node.children.begin() + static_cast<ptrdiff_t>(child_idx) + 1,
                        split->second);
@@ -182,7 +279,7 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
   if (value.size() > kMaxValueLen) {
     return InvalidArgument("value exceeds kMaxValueLen");
   }
-  ASSIGN_OR_RETURN(auto split, InsertRec(root_, key, value));
+  ASSIGN_OR_RETURN(auto split, InsertRec(root_, key, value, 0));
   if (split.has_value()) {
     // Grow a new root.
     Node new_root;
@@ -199,16 +296,15 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
 Result<Bytes> BPlusTree::Get(uint64_t key) {
   uint64_t node_id = root_;
   while (true) {
-    ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-    if (node.is_leaf) {
-      auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
-      if (it == node.keys.end() || *it != key) {
+    ASSIGN_OR_RETURN(RawNodeView node, ReadNode(node_id, image_));
+    if (node.is_leaf()) {
+      const std::optional<ByteSpan> value = node.Find(key);
+      if (!value.has_value()) {
         return NotFound("key not in tree");
       }
-      return node.values[static_cast<size_t>(it - node.keys.begin())];
+      return Bytes(value->begin(), value->end());
     }
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
-    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
+    node_id = node.ChildFor(key);
   }
 }
 
@@ -216,20 +312,19 @@ Status BPlusTree::Delete(uint64_t key) {
   // Walk to the leaf, remembering the path is unnecessary: no rebalancing.
   uint64_t node_id = root_;
   while (true) {
-    ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-    if (node.is_leaf) {
-      auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
-      if (it == node.keys.end() || *it != key) {
+    ASSIGN_OR_RETURN(RawNodeView view, ReadNode(node_id, image_));
+    if (view.is_leaf()) {
+      const uint32_t pos = view.LowerBound(key);
+      if (pos == view.count() || view.key(pos) != key) {
         return NotFound("key not in tree");
       }
-      const size_t pos = static_cast<size_t>(it - node.keys.begin());
-      node.keys.erase(it);
-      node.values.erase(node.values.begin() + static_cast<ptrdiff_t>(pos));
+      ASSIGN_OR_RETURN(Node node, Node::Deserialize(image_));
+      node.keys.erase(node.keys.begin() + pos);
+      node.values.erase(node.values.begin() + pos);
       --entry_count_;
       return WriteNode(node_id, node);
     }
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
-    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
+    node_id = view.ChildFor(key);
   }
 }
 
@@ -238,27 +333,22 @@ Result<std::vector<std::pair<uint64_t, Bytes>>> BPlusTree::Scan(uint64_t lo, uin
     return InvalidArgument("scan range is inverted");
   }
   std::vector<std::pair<uint64_t, Bytes>> out;
-  // Descend to the leaf containing lo.
-  uint64_t node_id = root_;
+  // Descend to the leaf containing lo, then walk the leaf chain.
+  ASSIGN_OR_RETURN(RawNodeView node, ReadNode(root_, image_));
+  while (!node.is_leaf()) {
+    ASSIGN_OR_RETURN(node, ReadNode(node.ChildFor(lo), image_));
+  }
   while (true) {
-    ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-    if (node.is_leaf) {
-      // Walk the leaf chain.
-      Node leaf = std::move(node);
-      while (true) {
-        for (size_t i = 0; i < leaf.keys.size(); ++i) {
-          if (leaf.keys[i] >= lo && leaf.keys[i] <= hi) {
-            out.emplace_back(leaf.keys[i], leaf.values[i]);
-          }
-        }
-        if (leaf.next_leaf == 0 || (!leaf.keys.empty() && leaf.keys.back() > hi)) {
-          return out;
-        }
-        ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      if (node.key(i) >= lo && node.key(i) <= hi) {
+        const ByteSpan value = node.value(i);
+        out.emplace_back(node.key(i), Bytes(value.begin(), value.end()));
       }
     }
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), lo);
-    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
+    if (node.next_leaf() == 0 || (node.count() > 0 && node.key(node.count() - 1) > hi)) {
+      return out;
+    }
+    ASSIGN_OR_RETURN(node, ReadNode(node.next_leaf(), image_));
   }
 }
 

@@ -11,6 +11,14 @@
 // Keys are u64; values are byte strings up to kMaxValueLen. Deletion removes
 // the key from its leaf without rebalancing (standard for append-mostly
 // storage engines; documented trade-off).
+//
+// Host-side cost: each hop reads the node's segment into a scratch image
+// the tree owns and walks it through a RawNodeView — keys binary-searched in
+// place, the child pointer or value found by offset — so Get, Delete's walk
+// and Scan decode nothing. Insert decodes only the nodes it rewrites, from
+// the bytes the hop already read. No decoded node outlives the call that
+// read it: every walk works on the bytes its modelled read returned, so
+// corruption, power cuts and recovery see exactly what the media holds.
 
 #ifndef HYPERION_SRC_STORAGE_BPTREE_H_
 #define HYPERION_SRC_STORAGE_BPTREE_H_
@@ -37,6 +45,39 @@ struct NodeView {
 
 // Parses a raw node segment into a NodeView.
 Result<NodeView> ParseBPlusNode(ByteSpan raw);
+
+// Validated read-only view over a serialized node image. Open checks the
+// same framing ParseBPlusNode does and fails with the same DataLoss; the
+// accessors then read the image in place. The view borrows `raw`.
+class RawNodeView {
+ public:
+  static Result<RawNodeView> Open(ByteSpan raw);
+
+  bool is_leaf() const { return is_leaf_; }
+  uint32_t count() const { return count_; }
+  uint64_t next_leaf() const;
+  uint64_t key(uint32_t i) const;
+  // Inner only: child `i` of count() + 1.
+  uint64_t child(uint32_t i) const;
+  // Leaf only: value `i`, as a span into the image.
+  ByteSpan value(uint32_t i) const;
+
+  // std::lower_bound / std::upper_bound over the keys, with the same
+  // halving, so even a corrupt (unsorted) image routes as its decoded form.
+  uint32_t LowerBound(uint64_t key) const;
+  uint32_t UpperBound(uint64_t key) const;
+
+  // Inner: the child covering `key`. Leaf: the value stored under `key`.
+  uint64_t ChildFor(uint64_t key) const { return child(UpperBound(key)); }
+  std::optional<ByteSpan> Find(uint64_t key) const;
+
+ private:
+  explicit RawNodeView(ByteSpan raw) : raw_(raw) {}
+
+  ByteSpan raw_;
+  bool is_leaf_ = true;
+  uint32_t count_ = 0;
+};
 
 // Segment id of node `node_id` in tree `tree_id` (stable naming contract).
 mem::SegmentId BPlusNodeSegment(uint64_t tree_id, uint64_t node_id);
@@ -80,13 +121,15 @@ class BPlusTree {
 
   mem::SegmentId NodeSegment(uint64_t node_id) const;
   Result<uint64_t> AllocateNode(const Node& node);
-  Result<Node> ReadNode(uint64_t node_id);
+  // Reads node `node_id` into `image` (sized to kNodeBytes) and opens a
+  // view on it.
+  Result<RawNodeView> ReadNode(uint64_t node_id, Bytes& image);
   Status WriteNode(uint64_t node_id, const Node& node);
 
-  // Insert into subtree rooted at node_id; on split returns the new right
-  // sibling's (separator_key, node_id).
+  // Insert into subtree rooted at node_id, `depth` levels below the root;
+  // on split returns the new right sibling's (separator_key, node_id).
   Result<std::optional<std::pair<uint64_t, uint64_t>>> InsertRec(uint64_t node_id, uint64_t key,
-                                                                 ByteSpan value);
+                                                                 ByteSpan value, size_t depth);
 
   mem::ObjectStore* store_;
   uint64_t tree_id_;
@@ -96,6 +139,11 @@ class BPlusTree {
   uint32_t height_ = 1;
   uint64_t entry_count_ = 0;
   uint64_t node_reads_ = 0;
+  // Reused node images, sized at first read: one for the walks of Get,
+  // Delete and Scan, and one per level for Insert, whose split rewrites a
+  // parent from the bytes read on the way down.
+  Bytes image_;
+  std::vector<Bytes> path_images_;
 };
 
 }  // namespace hyperion::storage

@@ -116,6 +116,31 @@ TEST(SegmentTableTest, InsertLookupErase) {
   EXPECT_EQ(table.Lookup(U128(1, 2)).status().code(), StatusCode::kNotFound);
 }
 
+TEST(SegmentTableTest, TranslateCountsInTheEntry) {
+  SegmentTable table;
+  Segment seg;
+  seg.id = U128(1, 2);
+  seg.size = 4096;
+  ASSERT_TRUE(table.Insert(seg).ok());
+  EXPECT_TRUE(table.Contains(U128(1, 2)));
+  EXPECT_FALSE(table.Contains(U128(1, 3)));
+  EXPECT_EQ(table.Translate(U128(1, 3)), nullptr);
+  const Segment* found = table.Translate(U128(1, 2));
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->size, 4096u);
+  table.Translate(U128(1, 2));
+  EXPECT_EQ(table.AccessCount(U128(1, 2)), 2u);
+  EXPECT_EQ(table.AccessCount(U128(1, 3)), 0u);
+  seg.base = 8192;
+  ASSERT_TRUE(table.Update(seg).ok());  // migration keeps the count
+  EXPECT_EQ(table.AccessCount(U128(1, 2)), 2u);
+  table.ResetAccessCounts();
+  EXPECT_EQ(table.AccessCount(U128(1, 2)), 0u);
+  ASSERT_TRUE(table.Erase(U128(1, 2)).ok());
+  ASSERT_TRUE(table.Insert(seg).ok());
+  EXPECT_EQ(table.AccessCount(U128(1, 2)), 0u);
+}
+
 TEST(SegmentTableTest, SerializeRoundTrip) {
   SegmentTable table;
   for (uint64_t i = 0; i < 50; ++i) {
@@ -393,6 +418,73 @@ TEST_F(ObjectStoreTest, RecoveryKeepsDurableDropsEphemeral) {
   EXPECT_EQ(store_->Read(*ephemeral, 0, 1).status().code(), StatusCode::kNotFound);
   // New creations keep working after recovery (allocators rebuilt).
   EXPECT_TRUE(store_->Create(4096, {.durable = true}).ok());
+}
+
+TEST_F(ObjectStoreTest, RecoveredIdReuseStartsWithZeroAccessCount) {
+  // Recovery drops the ephemeral segment and restarts id allocation above
+  // the surviving durable ids, so the next Create reuses the dropped id. The
+  // access count lives in the table entry, so the new segment must not
+  // inherit the dropped one's.
+  auto durable = store_->Create(4096, {.durable = true});
+  auto ephemeral = store_->Create(4096, {});
+  ASSERT_TRUE(durable.ok());
+  ASSERT_TRUE(ephemeral.ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(store_->Read(*ephemeral, 0, 64).ok());
+  }
+  ASSERT_TRUE(store_->Read(*durable, 0, 64).ok());
+  EXPECT_EQ(store_->AccessCount(*ephemeral), 50u);
+  ASSERT_TRUE(store_->Checkpoint().ok());
+  ASSERT_TRUE(store_->Recover().ok());
+  auto reused = store_->Create(4096, {});
+  ASSERT_TRUE(reused.ok());
+  ASSERT_EQ(*reused, *ephemeral);
+  EXPECT_EQ(store_->AccessCount(*reused), 0u);
+  EXPECT_EQ(store_->AccessCount(*durable), 0u);  // counts are volatile
+}
+
+TEST_F(ObjectStoreTest, AccessCountsFollowTranslations) {
+  auto id = store_->Create(8192, {.durable = true});
+  ASSERT_TRUE(id.ok());
+  Bytes out(100);
+  ASSERT_TRUE(store_->ReadInto(*id, 10, MutableByteSpan(out)).ok());
+  ASSERT_TRUE(store_->Read(*id, 0, 4096).ok());
+  Bytes data = Pattern(100, 3);
+  ASSERT_TRUE(store_->Write(*id, 4000, ByteSpan(data)).ok());
+  EXPECT_EQ(store_->AccessCount(*id), 3u);
+  // A miss is charged a translation but counts against no segment.
+  const SegmentId missing(0xC0FFEEull, 999);
+  EXPECT_EQ(store_->Read(missing, 0, 1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store_->AccessCount(missing), 0u);
+  EXPECT_EQ(store_->counters().Get("translations"), 4u);
+  ASSERT_TRUE(store_->Delete(*id).ok());
+  EXPECT_EQ(store_->AccessCount(*id), 0u);
+}
+
+TEST_F(ObjectStoreTest, UnalignedNvmeAccessRoundTripsThroughScratch) {
+  // Reads and read-modify-writes that straddle LBA boundaries, mixed with
+  // aligned ones, on one segment: every read sees the bytes last written.
+  auto id = store_->Create(6 * 4096, {.durable = true});
+  ASSERT_TRUE(id.ok());
+  Bytes shadow(6 * 4096, 0);
+  Rng rng(3);
+  for (int i = 0; i < 60; ++i) {
+    const uint64_t offset = i % 3 == 0 ? 4096 * rng.Uniform(4) : rng.Uniform(5 * 4096);
+    const uint64_t length = i % 3 == 0 ? 4096 * rng.UniformRange(1, 2)
+                                       : rng.UniformRange(1, 6 * 4096 - offset);
+    if (i % 2 == 0) {
+      Bytes data = Pattern(length, static_cast<uint8_t>(i));
+      ASSERT_TRUE(store_->Write(*id, offset, ByteSpan(data)).ok());
+      std::copy(data.begin(), data.end(), shadow.begin() + static_cast<ptrdiff_t>(offset));
+    } else {
+      Bytes out(length);
+      ASSERT_TRUE(store_->ReadInto(*id, offset, MutableByteSpan(out)).ok());
+      EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                             shadow.begin() + static_cast<ptrdiff_t>(offset)))
+          << "read " << i;
+    }
+  }
+  EXPECT_EQ(*store_->Read(*id, 0, 6 * 4096), shadow);
 }
 
 TEST_F(ObjectStoreTest, TranslationCostCharged) {

@@ -9,6 +9,7 @@
 #include "src/nvme/queue.h"
 #include "src/nvme/zns.h"
 #include "src/sim/engine.h"
+#include "src/sim/fault.h"
 
 namespace hyperion::nvme {
 namespace {
@@ -39,6 +40,21 @@ TEST(FlashTest, WriteReadRoundTrip) {
   Bytes out(kLbaSize);
   ASSERT_TRUE(dev.ReadBlock(5, MutableByteSpan(out)).ok());
   EXPECT_EQ(out, data);
+}
+
+TEST(FlashTest, OverwriteInPlaceKeepsBlockCountAndNewBytes) {
+  FlashDevice dev(16);
+  Bytes first = Pattern(kLbaSize, 1);
+  Bytes second = Pattern(kLbaSize, 99);
+  ASSERT_TRUE(dev.WriteBlock(5, ByteSpan(first)).ok());
+  ASSERT_TRUE(dev.WriteBlock(9, ByteSpan(first)).ok());
+  ASSERT_TRUE(dev.WriteBlock(5, ByteSpan(second)).ok());
+  EXPECT_EQ(dev.WrittenBlocks(), 2u);
+  Bytes out(kLbaSize);
+  ASSERT_TRUE(dev.ReadBlock(5, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, second);
+  ASSERT_TRUE(dev.ReadBlock(9, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, first);
 }
 
 TEST(FlashTest, OutOfRangeRejected) {
@@ -300,6 +316,64 @@ TEST_F(ControllerTest, CountersTrackIo) {
   EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 1u);
   EXPECT_EQ(ctrl_.counters().Get("nvme_flushes"), 1u);
   EXPECT_EQ(ctrl_.counters().Get("nvme_read_bytes"), static_cast<uint64_t>(kLbaSize));
+}
+
+TEST_F(ControllerTest, ReadIntoRejectsPartialBlockBuffers) {
+  const uint32_t ns = ctrl_.AddNamespace(64);
+  Bytes empty;
+  Bytes partial(kLbaSize + 1);
+  EXPECT_EQ(ctrl_.ReadInto(ns, 0, MutableByteSpan(empty)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ctrl_.ReadInto(ns, 0, MutableByteSpan(partial)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine_.Now(), 0u);
+  EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 0u);
+}
+
+// ReadInto is Read without the completion buffer: under the same injected
+// media errors and command timeouts, the same sequence of reads must cost
+// the same sim-time, bump the same counters and fail with the same Status.
+TEST(ControllerReadIntoTest, MatchesReadUnderInjectedFaults) {
+  struct Side {
+    sim::Engine engine;
+    Controller ctrl{&engine};
+    std::unique_ptr<sim::FaultInjector> injector;
+    uint32_t ns = 0;
+  };
+  sim::FaultPlan plan;
+  plan.WithProbability(sim::FaultSite::kNvmeReadError, 0.3)
+      .WithProbability(sim::FaultSite::kNvmeCmdTimeout, 0.1);
+  Side by_copy;
+  Side in_place;
+  for (Side* side : {&by_copy, &in_place}) {
+    side->ns = side->ctrl.AddNamespace(256);
+    Bytes data = Pattern(64 * kLbaSize, 5);
+    ASSERT_TRUE(side->ctrl.Write(side->ns, 0, ByteSpan(data)).ok());
+    side->injector = std::make_unique<sim::FaultInjector>(&side->engine, plan, 0xfeed);
+    side->ctrl.SetFaultInjector(side->injector.get());
+  }
+  Rng rng(11);
+  size_t failures = 0;
+  for (int i = 0; i < 400; ++i) {
+    // Mostly in range; every tenth read runs off the end of the namespace.
+    const uint32_t blocks = static_cast<uint32_t>(rng.UniformRange(1, 4));
+    const uint64_t slba = i % 10 == 9 ? 257 - blocks : rng.Uniform(64);
+    Result<Bytes> copied = by_copy.ctrl.Read(by_copy.ns, slba, blocks);
+    Bytes out(static_cast<size_t>(blocks) * kLbaSize, 0xee);
+    Status direct = in_place.ctrl.ReadInto(in_place.ns, slba, MutableByteSpan(out));
+    ASSERT_EQ(copied.status().code(), direct.code()) << "read " << i;
+    ASSERT_EQ(copied.status().message(), direct.message()) << "read " << i;
+    ASSERT_EQ(by_copy.engine.Now(), in_place.engine.Now()) << "read " << i;
+    if (direct.ok()) {
+      ASSERT_EQ(*copied, out) << "read " << i;
+    } else {
+      ++failures;
+    }
+  }
+  EXPECT_GT(failures, 40u);  // 40 ran off the end; the rest exhausted retries
+  EXPECT_GT(by_copy.ctrl.counters().Get("nvme_retries"), 0u);
+  EXPECT_GT(by_copy.ctrl.counters().Get("nvme_cmd_timeouts"), 0u);
+  EXPECT_GT(by_copy.ctrl.counters().Get("nvme_media_errors"), 0u);
+  EXPECT_EQ(by_copy.ctrl.counters().Snapshot(), in_place.ctrl.counters().Snapshot());
 }
 
 TEST_F(ControllerTest, FullCompletionQueueStallsInsteadOfLosingCompletions) {

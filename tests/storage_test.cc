@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <unordered_map>
 
@@ -155,6 +156,275 @@ TEST_F(StorageTest, BTreePropertyMatchesStdMap) {
     auto got = tree->Get(key);
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, value);
+  }
+}
+
+// -- B+ tree raw node view vs the decode path ---------------------------------
+//
+// Get, Delete's walk and Scan read nodes through RawNodeView; ParseBPlusNode
+// decodes them. On any image — valid, bit-flipped, truncated, or with a
+// mutated count or value length — the two must agree: same Status, same
+// keys, values and child pointers, and the same routing for any probe key.
+
+// Corrupts `image` in place with one seeded mutation.
+void MutateNodeImage(Bytes& image, Rng& rng) {
+  const uint32_t count = GetU32(image, 1);
+  switch (rng.Uniform(5)) {
+    case 0:  // byte flip in the populated front of the image
+      image[rng.Uniform(600)] ^= static_cast<uint8_t>(rng.UniformRange(1, 255));
+      break;
+    case 1:  // bit flip in the header (is_leaf, count, next_leaf)
+      image[rng.Uniform(13)] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
+      break;
+    case 2: {  // count field
+      const uint32_t counts[] = {count + 1, count - 1, 0, 512, 513,
+                                 static_cast<uint32_t>(rng.Next())};
+      const uint32_t mutated = counts[rng.Uniform(6)];
+      std::memcpy(image.data() + 1, &mutated, 4);
+      break;
+    }
+    case 3: {  // a value-length field (a leaf's), or the first key slot
+      size_t at = 13 + 8 * size_t{count};
+      const uint32_t skip = count == 0 ? 0 : static_cast<uint32_t>(rng.Uniform(count));
+      for (uint32_t i = 0; i < skip && at + 4 <= image.size(); ++i) {
+        at += 4 + GetU32(image, at);
+      }
+      if (at + 4 > image.size()) {
+        at = 13;
+      }
+      const uint32_t len = GetU32(image, at);
+      const uint32_t lens[] = {len + 1, len - 1, 4096, 0xFFFFFFFFu,
+                               static_cast<uint32_t>(rng.Uniform(5000))};
+      const uint32_t mutated = lens[rng.Uniform(5)];
+      std::memcpy(image.data() + at, &mutated, 4);
+      break;
+    }
+    default: {  // torn write: the tail from a random cut reads back as zeroes
+      const size_t cut = rng.Uniform(400);
+      std::fill(image.begin() + static_cast<ptrdiff_t>(cut), image.end(), 0);
+      break;
+    }
+  }
+}
+
+// Asserts RawNodeView::Open and ParseBPlusNode agree on `raw`, down to the
+// route each probe key takes.
+void ExpectViewMatchesParse(ByteSpan raw, const std::vector<uint64_t>& probes) {
+  Result<NodeView> parsed = ParseBPlusNode(raw);
+  Result<RawNodeView> view = RawNodeView::Open(raw);
+  ASSERT_EQ(parsed.status().code(), view.status().code());
+  ASSERT_EQ(parsed.status().message(), view.status().message());
+  if (!parsed.ok()) {
+    return;
+  }
+  ASSERT_EQ(view->is_leaf(), parsed->is_leaf);
+  ASSERT_EQ(view->count(), parsed->keys.size());
+  ASSERT_EQ(view->next_leaf(), parsed->next_leaf);
+  for (uint32_t i = 0; i < view->count(); ++i) {
+    ASSERT_EQ(view->key(i), parsed->keys[i]);
+    if (parsed->is_leaf) {
+      const ByteSpan value = view->value(i);
+      ASSERT_EQ(Bytes(value.begin(), value.end()), parsed->values[i]);
+    }
+  }
+  for (uint64_t key : probes) {
+    const auto& keys = parsed->keys;
+    if (parsed->is_leaf) {
+      auto it = std::lower_bound(keys.begin(), keys.end(), key);
+      const std::optional<ByteSpan> found = view->Find(key);
+      ASSERT_EQ(found.has_value(), it != keys.end() && *it == key) << key;
+      if (found.has_value()) {
+        ASSERT_EQ(Bytes(found->begin(), found->end()),
+                  parsed->values[static_cast<size_t>(it - keys.begin())]);
+      }
+    } else {
+      auto it = std::upper_bound(keys.begin(), keys.end(), key);
+      ASSERT_EQ(view->ChildFor(key), parsed->children[static_cast<size_t>(it - keys.begin())]);
+    }
+  }
+}
+
+// The decode-path walk: read each node, ParseBPlusNode it, route with std::
+// binary searches. Returns the leaf reached (or nullopt past `max_hops`, a
+// cycle a corrupt child pointer can close) and the Get outcome.
+struct ReferenceWalk {
+  std::optional<uint64_t> leaf;
+  Result<Bytes> value = NotFound("no walk");
+};
+
+ReferenceWalk WalkByDecoding(mem::ObjectStore* store, uint64_t tree_id, uint64_t root,
+                             uint64_t key, int max_hops = 8) {
+  ReferenceWalk walk;
+  uint64_t node_id = root;
+  for (int hop = 0; hop < max_hops; ++hop) {
+    Result<Bytes> raw = store->Read(BPlusNodeSegment(tree_id, node_id), 0,
+                                    BPlusTree::kNodeBytes);
+    if (!raw.ok()) {
+      walk.leaf = node_id;
+      walk.value = raw.status();
+      return walk;
+    }
+    Result<NodeView> node = ParseBPlusNode(*raw);
+    if (!node.ok()) {
+      walk.leaf = node_id;
+      walk.value = node.status();
+      return walk;
+    }
+    if (node->is_leaf) {
+      walk.leaf = node_id;
+      auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
+      if (it == node->keys.end() || *it != key) {
+        walk.value = NotFound("key not in tree");
+      } else {
+        walk.value = node->values[static_cast<size_t>(it - node->keys.begin())];
+      }
+      return walk;
+    }
+    auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key);
+    node_id = node->children[static_cast<size_t>(it - node->keys.begin())];
+  }
+  return walk;
+}
+
+TEST(BPlusRawNodeViewTest, OpenMatchesParseOnValidAndTruncatedImages) {
+  sim::Engine engine;
+  nvme::Controller ctrl(&engine);
+  mem::ObjectStoreConfig config;
+  config.nvme_nsid = ctrl.AddNamespace(1u << 14);
+  mem::ObjectStore store(&engine, &ctrl, config);
+  auto tree = BPlusTree::Create(&store, 41);
+  ASSERT_TRUE(tree.ok());
+  Rng rng(41);
+  for (uint64_t k = 0; k < 1500; ++k) {
+    Bytes v(rng.Uniform(BPlusTree::kMaxValueLen + 1), static_cast<uint8_t>(k));
+    ASSERT_TRUE(tree->Insert(rng.Uniform(100000), ByteSpan(v)).ok());
+  }
+  ASSERT_EQ(tree->Height(), 3u);
+  const std::vector<uint64_t> probes = {0, 1, 50000, 99999, 100000, ~0ull};
+  for (uint64_t node_id = 1; node_id < 40; ++node_id) {
+    auto raw = store.Read(BPlusNodeSegment(41, node_id), 0, BPlusTree::kNodeBytes);
+    ASSERT_TRUE(raw.ok());
+    ExpectViewMatchesParse(*raw, probes);
+    for (size_t cut : {size_t{0}, size_t{1}, size_t{4}, size_t{5}, size_t{12}, size_t{13},
+                       size_t{20}, static_cast<size_t>(rng.Uniform(BPlusTree::kNodeBytes))}) {
+      ExpectViewMatchesParse(ByteSpan(*raw).subspan(0, cut), probes);
+    }
+  }
+}
+
+TEST(BPlusRawNodeViewTest, OpenMatchesParseOnMutatedImages) {
+  sim::Engine engine;
+  nvme::Controller ctrl(&engine);
+  mem::ObjectStoreConfig config;
+  config.nvme_nsid = ctrl.AddNamespace(1u << 14);
+  mem::ObjectStore store(&engine, &ctrl, config);
+  auto tree = BPlusTree::Create(&store, 42);
+  ASSERT_TRUE(tree.ok());
+  for (uint64_t k = 0; k < 1200; ++k) {
+    Bytes v(k % 40, static_cast<uint8_t>(k));
+    ASSERT_TRUE(tree->Insert(k * 7, ByteSpan(v)).ok());
+  }
+  Rng rng(7);
+  int rejected = 0;
+  int tested = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const uint64_t node_id = rng.UniformRange(1, 300);
+    auto raw = store.Read(BPlusNodeSegment(42, node_id), 0, BPlusTree::kNodeBytes);
+    if (!raw.ok()) {
+      continue;
+    }
+    Bytes image = *raw;
+    MutateNodeImage(image, rng);
+    if (rng.Uniform(4) == 0) {
+      image.resize(rng.Uniform(image.size()));
+    }
+    const uint64_t key = rng.Uniform(1200) * 7;
+    ExpectViewMatchesParse(image, {key, key + 1, rng.Next()});
+    rejected += !ParseBPlusNode(image).ok();
+    ++tested;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(rejected, tested / 10);
+  EXPECT_LT(rejected, tested * 9 / 10);
+}
+
+TEST_F(StorageTest, BTreeRawWalkMatchesDecodePathOnCorruptNodes) {
+  constexpr uint64_t kTree = 43;
+  // Durable nodes: the walk reads them from flash straight into the image.
+  auto tree = BPlusTree::Create(store_.get(), kTree, {.durable = true});
+  ASSERT_TRUE(tree.ok());
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 1200; ++k) {
+    Bytes v(k % 30, static_cast<uint8_t>(k));
+    ASSERT_TRUE(tree->Insert(k * 5, ByteSpan(v)).ok());
+    keys.push_back(k * 5);
+  }
+  ASSERT_EQ(tree->Height(), 3u);
+  Rng rng(43);
+  int compared = 0;
+  int deleted = 0;
+  int corrupt = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    // Corrupt one node: the root, an inner node or a leaf.
+    const uint64_t node_id = trial % 8 == 0 ? tree->root_node_id() : rng.UniformRange(1, 300);
+    const mem::SegmentId seg = BPlusNodeSegment(kTree, node_id);
+    auto original = store_->Read(seg, 0, BPlusTree::kNodeBytes);
+    if (!original.ok()) {
+      continue;
+    }
+    Bytes image = *original;
+    MutateNodeImage(image, rng);
+    ASSERT_TRUE(store_->Write(seg, 0, ByteSpan(image)).ok());
+
+    for (int probe = 0; probe < 4; ++probe) {
+      const uint64_t key = probe == 3 ? rng.Uniform(6000) : keys[rng.Uniform(keys.size())];
+      const ReferenceWalk expected =
+          WalkByDecoding(store_.get(), kTree, tree->root_node_id(), key);
+      if (!expected.leaf.has_value()) {
+        continue;  // a corrupt pointer closed a cycle: both walks would spin
+      }
+      corrupt += expected.value.status().code() == StatusCode::kDataLoss;
+      Result<Bytes> got = tree->Get(key);
+      ASSERT_EQ(got.status().code(), expected.value.status().code()) << trial;
+      ASSERT_EQ(got.status().message(), expected.value.status().message()) << trial;
+      if (got.ok()) {
+        ASSERT_EQ(*got, *expected.value) << trial;
+      }
+      ++compared;
+
+      // Delete takes the same walk; on success the leaf is rewritten as
+      // its decoded form less `key`.
+      const mem::SegmentId leaf_seg = BPlusNodeSegment(kTree, *expected.leaf);
+      Result<Bytes> leaf_before = store_->Read(leaf_seg, 0, BPlusTree::kNodeBytes);
+      Status st = tree->Delete(key);
+      ASSERT_EQ(st.code(), expected.value.status().code()) << trial;
+      if (!st.ok()) {
+        continue;
+      }
+      ++deleted;
+      Result<NodeView> before = ParseBPlusNode(*leaf_before);
+      auto after = store_->Read(leaf_seg, 0, BPlusTree::kNodeBytes);
+      ASSERT_TRUE(before.ok() && after.ok());
+      Result<NodeView> rewritten = ParseBPlusNode(*after);
+      ASSERT_TRUE(rewritten.ok());
+      auto pos = std::lower_bound(before->keys.begin(), before->keys.end(), key);
+      const auto index = pos - before->keys.begin();
+      before->keys.erase(pos);
+      before->values.erase(before->values.begin() + index);
+      EXPECT_TRUE(rewritten->is_leaf);
+      EXPECT_EQ(rewritten->keys, before->keys);
+      EXPECT_EQ(rewritten->values, before->values);
+      EXPECT_EQ(rewritten->next_leaf, before->next_leaf);
+      ASSERT_TRUE(store_->Write(leaf_seg, 0, ByteSpan(*leaf_before)).ok());
+    }
+    ASSERT_TRUE(store_->Write(seg, 0, ByteSpan(*original)).ok());
+  }
+  EXPECT_GT(compared, 1500);
+  EXPECT_GT(deleted, 500);
+  EXPECT_GT(corrupt, 50);
+  // Every corruption was undone: the tree reads back whole.
+  for (uint64_t key : keys) {
+    ASSERT_TRUE(tree->Get(key).ok()) << key;
   }
 }
 
