@@ -1,6 +1,7 @@
 #include "src/apps/load_balancer.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/check.h"
 
@@ -26,10 +27,25 @@ uint64_t RingHash(uint32_t ip, uint16_t port, uint32_t replica) {
   return Mix64(Fnv1a64(ByteSpan(bytes.data(), bytes.size())));
 }
 
-Bytes BackendBytes(const Backend& backend) {
-  Bytes out;
-  PutU32(out, backend.ip);
-  PutU16(out, backend.port);
+// Resident-index hash: any good mix of the five fields will do (placement
+// uses FlowKey::Hash, not this).
+uint64_t IndexHash(const FlowKey& key) {
+  const uint64_t ips = (uint64_t{key.src_ip} << 32) | key.dst_ip;
+  const uint64_t rest =
+      (uint64_t{key.src_port} << 24) | (uint64_t{key.dst_port} << 8) | key.protocol;
+  return Mix64(ips ^ Mix64(rest));
+}
+
+// The spill tier's 6-byte value.
+constexpr size_t kBackendBytes = 6;
+
+std::array<uint8_t, kBackendBytes> BackendBytes(const Backend& backend) {
+  std::array<uint8_t, kBackendBytes> out;
+  for (size_t i = 0; i < 4; ++i) {
+    out[i] = static_cast<uint8_t>(backend.ip >> (8 * i));
+  }
+  out[4] = static_cast<uint8_t>(backend.port);
+  out[5] = static_cast<uint8_t>(backend.port >> 8);
   return out;
 }
 
@@ -85,27 +101,64 @@ Backend LoadBalancer::PickByConsistentHash(const FlowKey& key) const {
   return backends_[it->second];
 }
 
+uint32_t LoadBalancer::FindResident(const FlowKey& key) const {
+  return index_.Find(IndexHash(key), [&](uint32_t node) { return Node(node).key == key; });
+}
+
+void LoadBalancer::Unlink(uint32_t node) {
+  ResidentNode& n = Node(node);
+  (n.newer == kNil ? head_ : Node(n.newer).older) = n.older;
+  (n.older == kNil ? tail_ : Node(n.older).newer) = n.newer;
+  n.newer = n.older = kNil;
+}
+
+void LoadBalancer::PushFront(uint32_t node) {
+  ResidentNode& n = Node(node);
+  n.newer = kNil;
+  n.older = head_;
+  (head_ == kNil ? tail_ : Node(head_).newer) = node;
+  head_ = node;
+}
+
+void LoadBalancer::Release(uint32_t node) {
+  const FlowKey& key = Node(node).key;
+  index_.Erase(IndexHash(key), [&](uint32_t held) { return held == node; });
+  free_nodes_.push_back(node);
+}
+
 Status LoadBalancer::SpillOne() {
-  CHECK(!lru_.empty());
-  const FlowKey victim = lru_.back();
-  auto it = resident_.find(victim);
-  CHECK(it != resident_.end());
-  Bytes key_bytes = victim.Serialize();
-  Bytes value = BackendBytes(it->second.backend);
+  CHECK_NE(tail_, kNil);
+  const uint32_t victim = tail_;
+  const FlowKey::Wire key_bytes = Node(victim).key.Pack();
+  const auto value = BackendBytes(Node(victim).backend);
   RETURN_IF_ERROR(spill_->Put(ByteSpan(key_bytes.data(), key_bytes.size()),
                               ByteSpan(value.data(), value.size())));
-  lru_.pop_back();
-  resident_.erase(it);
+  Unlink(victim);
+  Release(victim);
   ++stats_.spills;
   return Status::Ok();
 }
 
 Status LoadBalancer::InsertResident(const FlowKey& key, const Backend& backend) {
-  while (resident_.size() >= resident_capacity_) {
+  while (index_.size() >= resident_capacity_) {
     RETURN_IF_ERROR(SpillOne());
   }
-  lru_.push_front(key);
-  resident_[key] = ResidentEntry{backend, lru_.begin()};
+  uint32_t node;
+  if (!free_nodes_.empty()) {
+    node = free_nodes_.back();
+    free_nodes_.pop_back();
+  } else {
+    if (node_count_ % kNodesPerBlock == 0) {
+      node_blocks_.push_back(std::make_unique<ResidentNode[]>(kNodesPerBlock));
+    }
+    node = node_count_++;
+  }
+  Node(node).key = key;
+  Node(node).backend = backend;
+  PushFront(node);
+  index_.Insert(IndexHash(key), node, [this](uint32_t held) {
+    return IndexHash(Node(held).key);
+  });
   return Status::Ok();
 }
 
@@ -114,17 +167,16 @@ Result<Backend> LoadBalancer::Route(const Packet& packet) {
   const FlowKey& key = packet.flow;
   const bool teardown = (packet.tcp_flags & (kTcpFin | kTcpRst)) != 0;
 
-  auto it = resident_.find(key);
-  if (it != resident_.end()) {
+  const uint32_t node = FindResident(key);
+  if (node != FlatIndex::kNone) {
     ++stats_.resident_hits;
-    const Backend backend = it->second.backend;
+    const Backend backend = Node(node).backend;
     // LRU touch.
-    lru_.erase(it->second.lru_pos);
+    Unlink(node);
     if (teardown) {
-      resident_.erase(it);
+      Release(node);
     } else {
-      lru_.push_front(key);
-      it->second.lru_pos = lru_.begin();
+      PushFront(node);
     }
     return backend;
   }
@@ -132,24 +184,24 @@ Result<Backend> LoadBalancer::Route(const Packet& packet) {
   // Flash tier probe. A pure SYN is a brand-new connection: it cannot have
   // been spilled, so skip the flash read and go straight to placement.
   const bool fresh_syn = (packet.tcp_flags & kTcpSyn) != 0 && !teardown;
-  Bytes key_bytes = key.Serialize();
-  Result<Bytes> spilled = fresh_syn ? Result<Bytes>(NotFound("fresh SYN"))
-                                    : spill_->Get(ByteSpan(key_bytes.data(), key_bytes.size()));
-  if (spilled.ok()) {
-    ++stats_.spill_hits;
-    const Backend backend = BackendFromBytes(ByteSpan(spilled->data(), spilled->size()));
-    if (teardown) {
-      RETURN_IF_ERROR(spill_->Delete(ByteSpan(key_bytes.data(), key_bytes.size())));
-    } else {
-      // Promote back to DRAM.
-      RETURN_IF_ERROR(spill_->Delete(ByteSpan(key_bytes.data(), key_bytes.size())));
-      RETURN_IF_ERROR(InsertResident(key, backend));
-      ++stats_.promotions;
+  if (!fresh_syn) {
+    const FlowKey::Wire key_bytes = key.Pack();
+    const ByteSpan spill_key(key_bytes.data(), key_bytes.size());
+    Result<Bytes> spilled = spill_->Get(spill_key);
+    if (spilled.ok()) {
+      ++stats_.spill_hits;
+      const Backend backend = BackendFromBytes(ByteSpan(spilled->data(), spilled->size()));
+      RETURN_IF_ERROR(spill_->Delete(spill_key));
+      if (!teardown) {
+        // Promote back to DRAM.
+        RETURN_IF_ERROR(InsertResident(key, backend));
+        ++stats_.promotions;
+      }
+      return backend;
     }
-    return backend;
-  }
-  if (spilled.status().code() != StatusCode::kNotFound) {
-    return spilled.status();
+    if (spilled.status().code() != StatusCode::kNotFound) {
+      return spilled.status();
+    }
   }
 
   // New flow: consistent hash placement; SYN-less packets of unknown flows

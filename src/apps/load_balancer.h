@@ -15,13 +15,12 @@
 #define HYPERION_SRC_APPS_LOAD_BALANCER_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/apps/packet.h"
+#include "src/common/flat_index.h"
 #include "src/common/result.h"
 #include "src/dpu/hyperion.h"
 #include "src/storage/hash_index.h"
@@ -63,7 +62,7 @@ class LoadBalancer {
   Status RemoveBackend(Backend backend);
 
   const LoadBalancerStats& stats() const { return stats_; }
-  size_t ResidentFlows() const { return resident_.size(); }
+  size_t ResidentFlows() const { return index_.size(); }
   // Flash-tier directory health (chain depth, occupancy).
   const storage::HashIndex& spill() const { return *spill_; }
 
@@ -73,8 +72,14 @@ class LoadBalancer {
 
   void RebuildRing();
   Backend PickByConsistentHash(const FlowKey& key) const;
+  uint32_t FindResident(const FlowKey& key) const;
   Status InsertResident(const FlowKey& key, const Backend& backend);
   Status SpillOne();
+  // LRU list surgery on node ids (head_ = most recent, tail_ = least).
+  void Unlink(uint32_t node);
+  void PushFront(uint32_t node);
+  // Drops a node that is already unlinked from the LRU list.
+  void Release(uint32_t node);
 
   dpu::Hyperion* dpu_;
   std::vector<Backend> backends_;
@@ -84,13 +89,29 @@ class LoadBalancer {
   static constexpr uint32_t kVirtualNodes = 256;
   std::map<uint64_t, size_t> ring_;
 
-  // Resident flow table with LRU order.
-  struct ResidentEntry {
+  // Resident flow table: a slab of nodes linked in LRU order by index,
+  // behind an open-addressed index. Both grow with the resident flows; the
+  // slab grows in fixed blocks, so growing never copies it.
+  static constexpr uint32_t kNil = 0xffffffffu;
+  static constexpr uint32_t kNodesPerBlock = 4096;
+  struct ResidentNode {
+    FlowKey key;
     Backend backend;
-    std::list<FlowKey>::iterator lru_pos;
+    uint32_t newer = kNil;
+    uint32_t older = kNil;
   };
-  std::unordered_map<FlowKey, ResidentEntry> resident_;
-  std::list<FlowKey> lru_;  // front = most recent
+  ResidentNode& Node(uint32_t id) {
+    return node_blocks_[id / kNodesPerBlock][id % kNodesPerBlock];
+  }
+  const ResidentNode& Node(uint32_t id) const {
+    return node_blocks_[id / kNodesPerBlock][id % kNodesPerBlock];
+  }
+  std::vector<std::unique_ptr<ResidentNode[]>> node_blocks_;
+  uint32_t node_count_ = 0;  // ids handed out so far
+  std::vector<uint32_t> free_nodes_;
+  FlatIndex index_;  // flow key -> node id
+  uint32_t head_ = kNil;
+  uint32_t tail_ = kNil;
 
   std::unique_ptr<storage::HashIndex> spill_;  // durable flash tier
   LoadBalancerStats stats_;

@@ -4,19 +4,23 @@
 
 namespace hyperion::apps {
 
-uint64_t FlowKey::Hash() const {
-  Bytes bytes = Serialize();
-  return Fnv1a64(ByteSpan(bytes.data(), bytes.size()));
+FlowKey::Wire FlowKey::Pack() const {
+  Wire out;
+  for (size_t i = 0; i < 4; ++i) {
+    out[i] = static_cast<uint8_t>(src_ip >> (8 * i));
+    out[4 + i] = static_cast<uint8_t>(dst_ip >> (8 * i));
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    out[8 + i] = static_cast<uint8_t>(src_port >> (8 * i));
+    out[10 + i] = static_cast<uint8_t>(dst_port >> (8 * i));
+  }
+  out[12] = protocol;
+  return out;
 }
 
-Bytes FlowKey::Serialize() const {
-  Bytes out;
-  PutU32(out, src_ip);
-  PutU32(out, dst_ip);
-  PutU16(out, src_port);
-  PutU16(out, dst_port);
-  out.push_back(protocol);
-  return out;
+uint64_t FlowKey::Hash() const {
+  const Wire wire = Pack();
+  return Fnv1a64(ByteSpan(wire.data(), wire.size()));
 }
 
 namespace {

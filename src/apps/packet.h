@@ -3,8 +3,9 @@
 #ifndef HYPERION_SRC_APPS_PACKET_H_
 #define HYPERION_SRC_APPS_PACKET_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/common/bytes.h"
@@ -20,9 +21,14 @@ struct FlowKey {
 
   friend bool operator==(const FlowKey&, const FlowKey&) = default;
 
-  uint64_t Hash() const;
-  Bytes Serialize() const;            // 13 bytes, the spill-table key
-  std::string ToString() const;       // "a.b.c.d:p -> a.b.c.d:p/proto"
+  // The 13-byte little-endian wire form (src_ip, dst_ip, src_port,
+  // dst_port, protocol): the spill-table key.
+  static constexpr size_t kWireBytes = 13;
+  using Wire = std::array<uint8_t, kWireBytes>;
+  Wire Pack() const;
+
+  uint64_t Hash() const;         // FNV-1a of Pack(): consistent-hash placement
+  std::string ToString() const;  // "a.b.c.d:p -> a.b.c.d:p/proto"
 };
 
 // TCP flag bits used by the middleware.
@@ -38,12 +44,5 @@ struct Packet {
 };
 
 }  // namespace hyperion::apps
-
-template <>
-struct std::hash<hyperion::apps::FlowKey> {
-  size_t operator()(const hyperion::apps::FlowKey& key) const noexcept {
-    return static_cast<size_t>(key.Hash());
-  }
-};
 
 #endif  // HYPERION_SRC_APPS_PACKET_H_

@@ -179,6 +179,7 @@ Result<uint32_t> Hyperion::CreateMap(std::string_view token, ebpf::MapSpec spec)
   if (!booted_) {
     return Unavailable("DPU not booted");
   }
+  RETURN_IF_ERROR(ebpf::ValidateMapSpec(spec));
   return maps_.Create(std::move(spec));
 }
 

@@ -97,7 +97,8 @@ class Hyperion {
 
   // Tenant map creation through the control path; the map is owned by
   // `tenant` unless the spec says kSharedMap. Returns the map id programs
-  // reference via ld_map_fd.
+  // reference via ld_map_fd, or InvalidArgument for a spec
+  // ebpf::ValidateMapSpec rejects.
   Result<uint32_t> CreateMap(std::string_view token, ebpf::MapSpec spec);
 
   // -- Components --------------------------------------------------------------

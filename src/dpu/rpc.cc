@@ -249,10 +249,7 @@ void RpcServer::RegisterService(ServiceId service, Handler handler) {
 }
 
 RpcResponse RpcServer::Dispatch(const RpcRequest& request, obs::TraceContext context) {
-  if (h_rpcs_ == kUnresolved) [[unlikely]] {
-    h_rpcs_ = counters_.Intern("rpcs");
-  }
-  counters_.Increment(h_rpcs_);
+  counters_.Increment(rpcs_slot_);
   auto it = handlers_.find(request.service);
   if (it == handlers_.end()) {
     counters_.Increment("rpc_unknown_service");
@@ -272,10 +269,7 @@ RpcResponse RpcServer::Dispatch(const RpcRequest& request, obs::TraceContext con
       admission_clock_->Advance(reject_cost_);
       return RpcResponse::Fail(ResourceExhausted("server overloaded"));
     }
-    if (h_admitted_ == kUnresolved) [[unlikely]] {
-      h_admitted_ = counters_.Intern("rpc_admitted");
-    }
-    counters_.Increment(h_admitted_);
+    counters_.Increment(admitted_slot_);
     RpcResponse response;
     {
       obs::ScopedSpan dispatch(tracer_, clock_, obs::Subsystem::kRpc, "rpc.dispatch", context);
@@ -318,10 +312,7 @@ Result<RpcResponse> RpcClient::Attempt(const RpcRequest& request) {
   // Model the decode round trip through the frame codec for fidelity; the
   // decoded payload is a slice of the wire frame, not a copy.
   ASSIGN_OR_RETURN(RpcResponse decoded, ParseResponseFrame(wire_response));
-  if (h_copy_bytes_ == kUnresolved) [[unlikely]] {
-    h_copy_bytes_ = counters_.Intern("copy_bytes");
-  }
-  counters_.Add(h_copy_bytes_, BufferCopiedBytes() - copies_before);
+  counters_.Add(copy_bytes_slot_, BufferCopiedBytes() - copies_before);
   return decoded;
 }
 
@@ -416,10 +407,7 @@ sim::Duration ShardedRpcNode::WireLatency(uint64_t bytes, const ShardedRpcNode& 
 
 void ShardedRpcNode::CallAsync(ShardedRpcNode* peer, const RpcRequest& request,
                                Completion done) {
-  if (h_async_calls_ == kUnresolved) [[unlikely]] {
-    h_async_calls_ = counters_.Intern("rpc_async_calls");
-  }
-  counters_.Increment(h_async_calls_);
+  counters_.Increment(async_calls_slot_);
   BufferChain frame = SerializeRequestFrame(request);
   const sim::SimTime now = engine_->shard(shard_).Now();
   // Latency from the pre-trailer size: trailers are metadata, not modelled
@@ -480,10 +468,7 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
         // pipeline (and everything queued behind it) never sees the request.
         finish = arrival + policy_.reject_cost;
       } else {
-        if (h_admitted_ == kUnresolved) [[unlikely]] {
-          h_admitted_ = counters_.Intern("rpc_admitted");
-        }
-        counters_.Increment(h_admitted_);
+        counters_.Increment(admitted_slot_);
       }
     }
     if (admitted) {
@@ -493,10 +478,7 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
       if (node_clock_->Now() < arrival) {
         node_clock_->AdvanceTo(arrival);
       } else {
-        if (h_queued_ns_ == kUnresolved) [[unlikely]] {
-          h_queued_ns_ = counters_.Intern("rpc_async_queued_ns");
-        }
-        counters_.Add(h_queued_ns_, node_clock_->Now() - arrival);
+        counters_.Add(queued_ns_slot_, node_clock_->Now() - arrival);
       }
       response = server_->Dispatch(*request, tracer_ != nullptr ? tracer_->ContextOf(serve)
                                                                 : obs::TraceContext{});
@@ -506,10 +488,7 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
       }
     }
   }
-  if (h_async_served_ == kUnresolved) [[unlikely]] {
-    h_async_served_ = counters_.Intern("rpc_async_served");
-  }
-  counters_.Increment(h_async_served_);
+  counters_.Increment(async_served_slot_);
   if (tracer_ != nullptr) {
     tracer_->End(serve, finish);
   }

@@ -146,11 +146,9 @@ class RpcServer {
   sim::AdmissionController* admission_ = nullptr;
   sim::Engine* admission_clock_ = nullptr;
   sim::Duration reject_cost_ = 200;
-  // Per-request counter slots, interned lazily at first bump so untouched
-  // counters never appear in Snapshot().
-  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
-  sim::Counters::Handle h_rpcs_ = kUnresolved;
-  sim::Counters::Handle h_admitted_ = kUnresolved;
+  // Counter slots, interned at first bump (see sim::Counters::Slot).
+  sim::Counters::Slot rpcs_slot_{"rpcs"};
+  sim::Counters::Slot admitted_slot_{"rpc_admitted"};
 };
 
 // Retry policy for client calls: transient failures (lost or corrupted
@@ -216,8 +214,7 @@ class RpcClient {
   sim::FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   sim::Counters counters_;
-  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
-  sim::Counters::Handle h_copy_bytes_ = kUnresolved;  // interned at first attempt
+  sim::Counters::Slot copy_bytes_slot_{"copy_bytes"};
 };
 
 // -- Sharded asynchronous RPC (PR 3) -----------------------------------------
@@ -312,13 +309,11 @@ class ShardedRpcNode {
   RpcOverloadPolicy policy_;
   std::unique_ptr<sim::AdmissionController> admission_;
   sim::Counters counters_;
-  // Hot-path counter slots, interned lazily at first bump so untouched
-  // counters never appear in Snapshot() (keeps report output unchanged).
-  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
-  sim::Counters::Handle h_async_calls_ = kUnresolved;
-  sim::Counters::Handle h_async_served_ = kUnresolved;
-  sim::Counters::Handle h_admitted_ = kUnresolved;
-  sim::Counters::Handle h_queued_ns_ = kUnresolved;
+  // Counter slots, interned at first bump (see sim::Counters::Slot).
+  sim::Counters::Slot async_calls_slot_{"rpc_async_calls"};
+  sim::Counters::Slot async_served_slot_{"rpc_async_served"};
+  sim::Counters::Slot admitted_slot_{"rpc_admitted"};
+  sim::Counters::Slot queued_ns_slot_{"rpc_async_queued_ns"};
 };
 
 }  // namespace hyperion::dpu

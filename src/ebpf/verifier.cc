@@ -118,10 +118,13 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
 
       if (cls == kClassAlu64 || cls == kClassAlu) {
         const uint8_t op = insn.AluOp();
-        RegState& dst = st.regs[insn.dst];
         if (insn.dst >= kNumRegisters || (insn.IsSrcReg() && insn.src >= kNumRegisters)) {
           return Err(pc, insn, "bad register number");
         }
+        if (op > kAluEnd) {
+          return Err(pc, insn, "unknown ALU op");
+        }
+        RegState& dst = st.regs[insn.dst];
         if (insn.dst == 10) {
           return Err(pc, insn, "r10 (frame pointer) is read-only");
         }
@@ -238,14 +241,18 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
             case kAluXor:
               out = a ^ b;
               break;
+            // Shift amounts and the sign bit follow the operand width, as
+            // in the VM.
             case kAluLsh:
-              out = a << (b & 63);
+              out = a << (b & (cls == kClassAlu64 ? 63 : 31));
               break;
             case kAluRsh:
-              out = a >> (b & 63);
+              out = a >> (b & (cls == kClassAlu64 ? 63 : 31));
               break;
             case kAluArsh:
-              out = static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63));
+              out = cls == kClassAlu64
+                        ? static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63))
+                        : static_cast<uint32_t>(static_cast<int32_t>(a) >> (b & 31));
               break;
             default:
               folded = false;
@@ -265,6 +272,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
       if (cls == kClassLd) {
         if (!insn.IsLdImm64() || pc + 1 >= insns.size()) {
           return Err(pc, insn, "malformed wide load");
+        }
+        if (insn.dst >= kNumRegisters) {
+          return Err(pc, insn, "bad register number");
         }
         if (insn.dst == 10) {
           return Err(pc, insn, "r10 is read-only");
@@ -286,6 +296,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
       }
 
       if (cls == kClassLdx) {
+        if (insn.dst >= kNumRegisters || insn.src >= kNumRegisters) {
+          return Err(pc, insn, "bad register number");
+        }
         if (insn.dst == 10) {
           return Err(pc, insn, "r10 is read-only");
         }
@@ -302,6 +315,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
       }
 
       if (cls == kClassStx || cls == kClassSt) {
+        if (insn.dst >= kNumRegisters || (cls == kClassStx && insn.src >= kNumRegisters)) {
+          return Err(pc, insn, "bad register number");
+        }
         if (cls == kClassStx && insn.Mode() == kModeAtomic) {
           if (insn.imm != kAtomicAdd) {
             return Err(pc, insn, "unsupported atomic operation");
@@ -334,6 +350,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
 
       if (cls == kClassJmp || cls == kClassJmp32) {
         const uint8_t op = insn.AluOp();
+        if (op > kJmpJsle) {
+          return Err(pc, insn, "unknown jump op");
+        }
         if (op == kJmpExit) {
           const RegState& r0 = st.regs[0];
           if (r0.type != RegType::kScalar) {
@@ -404,6 +423,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
         if (op == kJmpJa) {
           st.pc = static_cast<size_t>(target);
           continue;
+        }
+        if (insn.dst >= kNumRegisters || (insn.IsSrcReg() && insn.src >= kNumRegisters)) {
+          return Err(pc, insn, "bad register number");
         }
         const RegState& dst = st.regs[insn.dst];
         if (dst.type == RegType::kUninit) {

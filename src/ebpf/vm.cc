@@ -107,17 +107,53 @@ Status Vm::StoreTo(uint64_t addr, uint32_t size, uint64_t value, MutableByteSpan
   }
 }
 
-Result<Bytes> Vm::CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx) {
-  Bytes out(len);
-  for (uint32_t i = 0; i < len; ++i) {
-    ASSIGN_OR_RETURN(uint64_t byte, LoadFrom(addr + i, 1, ctx));
-    out[i] = static_cast<uint8_t>(byte);
+Status Vm::CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx, uint8_t* out) {
+  // One bounds check for the whole range. Every byte of a range lies in the
+  // region its first byte names (a region ends long before a carry could
+  // reach the tag or handle bits), so the error is the one LoadFrom gives
+  // for the first byte out of bounds.
+  const uint64_t payload = PayloadOf(addr);
+  const uint8_t* src = nullptr;
+  switch (TagOf(addr)) {
+    case kTagStack:
+      if (payload + len > kStackSize) {
+        return PermissionDenied("stack load out of bounds");
+      }
+      src = &stack_[payload];
+      break;
+    case kTagCtx:
+      if (payload + len > ctx.size()) {
+        return PermissionDenied("ctx load out of bounds");
+      }
+      src = ctx.data() + payload;
+      break;
+    case kTagMapValue: {
+      const auto map_id = static_cast<uint32_t>(payload >> 40);
+      const auto handle = static_cast<uint32_t>((payload >> 16) & 0xffffff);
+      const auto offset = static_cast<uint32_t>(payload & 0xffff);
+      Map* map = maps_->Get(map_id);
+      if (map == nullptr) {
+        return PermissionDenied("load through bad map pointer");
+      }
+      if (offset + len > map->spec().value_size) {
+        return PermissionDenied("map value load out of bounds");
+      }
+      src = map->MutableValue(handle).data() + offset;
+      break;
+    }
+    default:
+      return PermissionDenied("load through non-pointer value");
   }
-  return out;
+  std::memcpy(out, src, len);
+  return Status::Ok();
 }
 
 Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3,
                                 uint64_t r4, MutableByteSpan ctx) {
+  // Keys and values are staged here, as the kernel copies them off the
+  // program's stack; maps bound both at kMaxMapKeyOrValueBytes.
+  uint8_t key[kMaxMapKeyOrValueBytes];
+  uint8_t value[kMaxMapKeyOrValueBytes];
   switch (helper) {
     case HelperId::kMapLookup: {
       if (TagOf(r1) != kTagMapRef) {
@@ -128,12 +164,13 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
       if (map == nullptr) {
         return PermissionDenied("map_lookup: unknown map");
       }
-      ASSIGN_OR_RETURN(Bytes key, CopyIn(r2, map->spec().key_size, ctx));
-      Result<uint32_t> handle = map->LookupHandle(ByteSpan(key.data(), key.size()));
-      if (!handle.ok()) {
+      const uint32_t key_size = map->spec().key_size;
+      RETURN_IF_ERROR(CopyIn(r2, key_size, ctx, key));
+      const uint32_t handle = map->Find(ByteSpan(key, key_size));
+      if (handle == Map::kNoEntry) {
         return uint64_t{0};  // NULL: program must branch on it
       }
-      return MakeTagged(kTagMapValue, PackMapValue(map_id, *handle, 0));
+      return MakeTagged(kTagMapValue, PackMapValue(map_id, handle, 0));
     }
     case HelperId::kMapUpdate: {
       if (TagOf(r1) != kTagMapRef) {
@@ -144,15 +181,13 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
       if (map == nullptr) {
         return PermissionDenied("map_update: unknown map");
       }
-      ASSIGN_OR_RETURN(Bytes key, CopyIn(r2, map->spec().key_size, ctx));
-      ASSIGN_OR_RETURN(Bytes value, CopyIn(r3, map->spec().value_size, ctx));
+      const uint32_t key_size = map->spec().key_size;
+      const uint32_t value_size = map->spec().value_size;
+      RETURN_IF_ERROR(CopyIn(r2, key_size, ctx, key));
+      RETURN_IF_ERROR(CopyIn(r3, value_size, ctx, value));
       (void)r4;  // flags: only BPF_ANY semantics modelled
-      Result<uint32_t> slot =
-          map->Update(ByteSpan(key.data(), key.size()), ByteSpan(value.data(), value.size()));
-      if (!slot.ok()) {
-        return static_cast<uint64_t>(-1);
-      }
-      return uint64_t{0};
+      const uint32_t slot = map->Upsert(ByteSpan(key, key_size), ByteSpan(value, value_size));
+      return slot == Map::kNoEntry ? static_cast<uint64_t>(-1) : uint64_t{0};
     }
     case HelperId::kMapDelete: {
       if (TagOf(r1) != kTagMapRef) {
@@ -163,9 +198,9 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
       if (map == nullptr) {
         return PermissionDenied("map_delete: unknown map");
       }
-      ASSIGN_OR_RETURN(Bytes key, CopyIn(r2, map->spec().key_size, ctx));
-      Status st = map->Delete(ByteSpan(key.data(), key.size()));
-      return st.ok() ? uint64_t{0} : static_cast<uint64_t>(-1);
+      const uint32_t key_size = map->spec().key_size;
+      RETURN_IF_ERROR(CopyIn(r2, key_size, ctx, key));
+      return map->Erase(ByteSpan(key, key_size)) ? uint64_t{0} : static_cast<uint64_t>(-1);
     }
     case HelperId::kKtimeGetNs:
       return engine_ != nullptr ? engine_->Now() : uint64_t{0};
@@ -176,7 +211,9 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
 }
 
 Result<ExecResult> Vm::Run(const Program& prog, MutableByteSpan ctx, uint64_t insn_budget) {
-  uint64_t reg[kNumRegisters] = {};
+  // Decoded register fields are 4 bits wide, so an unverified program
+  // naming r11..r15 reads and writes spare cells instead of the host stack.
+  uint64_t reg[16] = {};
   std::memset(stack_, 0, sizeof(stack_));
   reg[1] = MakeTagged(kTagCtx, 0);
   reg[2] = ctx.size();

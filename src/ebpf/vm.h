@@ -74,8 +74,9 @@ class Vm {
 
   Result<uint64_t> LoadFrom(uint64_t addr, uint32_t size, MutableByteSpan ctx);
   Status StoreTo(uint64_t addr, uint32_t size, uint64_t value, MutableByteSpan ctx);
-  // Copies `len` bytes out of VM address space (for helper key/value args).
-  Result<Bytes> CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx);
+  // Copies `len` bytes out of VM address space into `out` (helper key and
+  // value arguments). Fails exactly as `len` one-byte loads would.
+  Status CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx, uint8_t* out);
 
   Result<uint64_t> CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3, uint64_t r4,
                               MutableByteSpan ctx);

@@ -1,6 +1,7 @@
 #include "src/load/xdp.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "src/common/check.h"
@@ -34,16 +35,19 @@ uint64_t FrontKeyOf(const apps::FlowKey& flow) {
   return ips ^ ports;
 }
 
-Bytes U32Key(uint32_t v) {
-  Bytes b;
-  PutU32(b, v);
-  return b;
+// A fabric-map key or value: the little-endian bytes of `v`.
+template <typename T>
+std::array<uint8_t, sizeof(T)> LeBytes(T v) {
+  std::array<uint8_t, sizeof(T)> out;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return out;
 }
 
-Bytes U64Key(uint64_t v) {
-  Bytes b;
-  PutU64(b, v);
-  return b;
+template <size_t N>
+ByteSpan SpanOf(const std::array<uint8_t, N>& bytes) {
+  return ByteSpan(bytes.data(), N);
 }
 
 // Stage 1 — SSH brute-force guard. TCP to the auth port probes the banned
@@ -144,11 +148,15 @@ std::string LbSource(uint32_t pins_map) {
   )";
 }
 
-Bytes FlowRecord(const apps::Backend& backend, uint64_t count) {
-  Bytes value;
-  PutU32(value, backend.ip);
-  PutU16(value, backend.port);
-  PutU64(value, count);
+// Flow-table record: backend ip (4) + port (2) + packet count (8).
+std::array<uint8_t, 14> FlowRecord(const apps::Backend& backend, uint64_t count) {
+  std::array<uint8_t, 14> value;
+  const auto ip = LeBytes(backend.ip);
+  const auto port = LeBytes(backend.port);
+  const auto packets = LeBytes(count);
+  std::copy(ip.begin(), ip.end(), value.begin());
+  std::copy(port.begin(), port.end(), value.begin() + 4);
+  std::copy(packets.begin(), packets.end(), value.begin() + 6);
   return value;
 }
 
@@ -242,7 +250,7 @@ void XdpPipeline::NoteVerdict(uint64_t disposition) {
 Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arrival,
                              const NewFlowFn& on_new_flow, uint64_t* disposition) {
   sim::Engine* clock = dpu_->engine();
-  counters_.Increment("xdp_slow_packets");
+  counters_.Increment(slots_.slow_packets);
   if (clock->Now() < packet_arrival) {
     clock->AdvanceTo(packet_arrival);
   }
@@ -250,28 +258,28 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
       options_.slow_deadline > 0 ? packet_arrival + options_.slow_deadline : sim::Engine::kNever;
   if (admission_.Decide(packet_arrival, clock->Now(), deadline) !=
       sim::AdmissionDecision::kAdmit) {
-    counters_.Increment("xdp_slow_shed");
+    counters_.Increment(slots_.slow_shed);
     *disposition = kDispSlowShed;
     return Status::Ok();
   }
-  counters_.Increment("xdp_slow_admitted");
+  counters_.Increment(slots_.slow_admitted);
 
   const bool teardown = (meta.packet.tcp_flags & (apps::kTcpFin | apps::kTcpRst)) != 0;
-  Bytes key_bytes = meta.packet.flow.Serialize();
-  const ByteSpan key(key_bytes.data(), key_bytes.size());
-  const Bytes front_key = U64Key(FrontKeyOf(meta.packet.flow));
+  const apps::FlowKey::Wire key_bytes = meta.packet.flow.Pack();
+  const ByteSpan key = SpanOf(key_bytes);
+  const auto front_key = LeBytes(FrontKeyOf(meta.packet.flow));
 
   if (teardown) {
     Status deleted = flows_->Delete(key);
     if (deleted.ok()) {
-      counters_.Increment("xdp_teardowns");
+      counters_.Increment(slots_.teardowns);
     } else if (deleted.code() != StatusCode::kNotFound) {
       return deleted;
     }
     RETURN_IF_ERROR(lb_->Route(meta.packet).status());
     // Unpin from the fabric maps so the chain stops TXing the dead flow.
-    (void)dpu_->maps().Get(pins_map_)->Delete(ByteSpan(front_key.data(), front_key.size()));
-    (void)dpu_->maps().Get(front_map_)->Delete(ByteSpan(front_key.data(), front_key.size()));
+    dpu_->maps().Get(pins_map_)->Erase(SpanOf(front_key));
+    dpu_->maps().Get(front_map_)->Erase(SpanOf(front_key));
     *disposition = kDispTeardown;
   } else {
     Result<Bytes> record = flows_->Get(key);
@@ -282,26 +290,19 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
       backend.ip = GetU32(ByteSpan(record->data(), record->size()), 0);
       backend.port = GetU16(ByteSpan(record->data(), record->size()), 4);
       const uint64_t count = GetU64(ByteSpan(record->data(), record->size()), 6) + 1;
-      Bytes value = FlowRecord(backend, count);
-      RETURN_IF_ERROR(flows_->Put(key, ByteSpan(value.data(), value.size())));
-      counters_.Increment("xdp_flow_updates");
+      RETURN_IF_ERROR(flows_->Put(key, SpanOf(FlowRecord(backend, count))));
+      counters_.Increment(slots_.flow_updates);
     } else if (record.status().code() == StatusCode::kNotFound) {
       // New flow (ramp SYN, or a flow whose registration was shed): place
       // it, track it, pin it, and hand it to the spray hook.
       ASSIGN_OR_RETURN(apps::Backend backend, lb_->Route(meta.packet));
-      Bytes value = FlowRecord(backend, 1);
-      RETURN_IF_ERROR(flows_->Put(key, ByteSpan(value.data(), value.size())));
-      counters_.Increment("xdp_flow_inserts");
-      // Best effort: the pin map holds the hot set; beyond capacity the
-      // flow simply stays on the slow path.
-      const Bytes pin_value = U64Key(backend.ip - kBackendIpBase);
-      Result<uint32_t> pinned =
-          dpu_->maps().Get(pins_map_)->Update(ByteSpan(front_key.data(), front_key.size()),
-                                              ByteSpan(pin_value.data(), pin_value.size()));
-      if (!pinned.ok() && pinned.status().code() != StatusCode::kResourceExhausted) {
-        return pinned.status();
-      }
-      counters_.Increment("xdp_sprayed");
+      RETURN_IF_ERROR(flows_->Put(key, SpanOf(FlowRecord(backend, 1))));
+      counters_.Increment(slots_.flow_inserts);
+      // Best effort: the pin map holds the hot set; beyond capacity
+      // (Map::kNoEntry) the flow simply stays on the slow path.
+      const auto pin_value = LeBytes(uint64_t{backend.ip - kBackendIpBase});
+      dpu_->maps().Get(pins_map_)->Upsert(SpanOf(front_key), SpanOf(pin_value));
+      counters_.Increment(slots_.sprayed);
       if (on_new_flow) {
         on_new_flow(meta.packet.flow, backend, clock->Now());
       }
@@ -326,8 +327,8 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
   if (clock->Now() < arrival) {
     clock->AdvanceTo(arrival);
   }
-  counters_.Increment("xdp_rx_batches");
-  counters_.Add("xdp_rx_frames", count);
+  counters_.Increment(slots_.rx_batches);
+  counters_.Add(slots_.rx_frames, count);
   const sim::Duration wire = trace_.FrameWireTime();
   // The batch is handed onward once its last frame is fully received
   // (ramp frames are setup-paced, steady frames wire-paced).
@@ -345,7 +346,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     }
   }
   if (!rx_credits_.TryAcquire()) {
-    counters_.Add("xdp_rx_overflow", count);
+    counters_.Add(slots_.rx_overflow, count);
     for (uint32_t i = 0; i < count; ++i) {
       NoteVerdict(kDispRxDrop);
     }
@@ -369,7 +370,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     fabric_done = fabric_start + service;
     fabric_busy_ = fabric_done;
     dpu_->energy().Busy(sim::DpuPowerIds::kFabric, service);
-    counters_.Add("xdp_fabric_cycles", ma_->BatchCycles(count));
+    counters_.Add(slots_.fabric_cycles, ma_->BatchCycles(count));
     if (tracer_ != nullptr) {
       sim::SimTime cursor = fabric_start;
       for (size_t s = 0; s < ma_->StageCount(); ++s) {
@@ -410,7 +411,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     ASSIGN_OR_RETURN(uint64_t guard_verdict, RunStage(0, MutableByteSpan(frame, sizeof frame)));
     uint64_t disposition = kDispFastTx;
     if (guard_verdict == fpga::kXdpDrop) {
-      counters_.Increment("xdp_drop_banned");
+      counters_.Increment(slots_.drop_banned);
       disposition = kDispBanned;
     } else if (guard_verdict == fpga::kXdpRedirect) {
       // Auth attempt: durable fail2ban accounting, behind admission (the
@@ -428,7 +429,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
                                         : sim::Engine::kNever;
       if (admission_.Decide(packet_arrival, clock->Now(), deadline) !=
           sim::AdmissionDecision::kAdmit) {
-        counters_.Increment("xdp_auth_shed");
+        counters_.Increment(slots_.auth_shed);
         disposition = kDispAuthShed;
       } else {
         ASSIGN_OR_RETURN(apps::Fail2Ban::Verdict verdict,
@@ -436,17 +437,15 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         if (verdict == apps::Fail2Ban::Verdict::kBanned) {
           // Push the ban into the fabric: from now on this source drops at
           // stage 1 for zero slow-path cost.
-          const Bytes ip_key = U32Key(meta.packet.flow.src_ip);
-          const Bytes one = U64Key(1);
           RETURN_IF_ERROR(dpu_->maps()
                               .Get(banned_map_)
-                              ->Update(ByteSpan(ip_key.data(), ip_key.size()),
-                                       ByteSpan(one.data(), one.size()))
+                              ->Update(SpanOf(LeBytes(meta.packet.flow.src_ip)),
+                                       SpanOf(LeBytes(uint64_t{1})))
                               .status());
         }
         admission_.OnAdmitted(packet_arrival, clock->Now());
         app_time += clock->Now() - mark;
-        counters_.Increment("xdp_auth_reports");
+        counters_.Increment(slots_.auth_reports);
         disposition = kDispAuthReport;
       }
     } else {
@@ -460,21 +459,21 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         mark = clock->Now();
       }
       if (flow_verdict == fpga::kXdpPass) {
-        counters_.Increment("xdp_fast_hits");
+        counters_.Increment(slots_.fast_hits);
         ASSIGN_OR_RETURN(uint64_t lb_verdict, RunStage(2, MutableByteSpan(frame, sizeof frame)));
         if (host_) {
           host_time += clock->Now() - mark;
           mark = clock->Now();
         }
         if (lb_verdict == fpga::kXdpTx) {
-          counters_.Increment("xdp_fast_tx");
+          counters_.Increment(slots_.fast_tx);
           disposition = kDispFastTx;
         } else {
           RETURN_IF_ERROR(SlowPath(meta, packet_arrival, on_new_flow, &disposition));
           store_time += clock->Now() - mark;
         }
       } else {
-        counters_.Increment("xdp_front_miss");
+        counters_.Increment(slots_.front_miss);
         RETURN_IF_ERROR(SlowPath(meta, packet_arrival, on_new_flow, &disposition));
         store_time += clock->Now() - mark;
       }
@@ -523,22 +522,22 @@ Status XdpPipeline::Run(const NewFlowFn& on_new_flow) {
 
 XdpStats XdpPipeline::Snapshot() const {
   XdpStats stats;
-  stats.rx_frames = counters_.Get("xdp_rx_frames");
-  stats.rx_batches = counters_.Get("xdp_rx_batches");
-  stats.rx_overflow = counters_.Get("xdp_rx_overflow");
-  stats.drop_banned = counters_.Get("xdp_drop_banned");
-  stats.auth_reports = counters_.Get("xdp_auth_reports");
-  stats.auth_shed = counters_.Get("xdp_auth_shed");
+  stats.rx_frames = counters_.Get(slots_.rx_frames);
+  stats.rx_batches = counters_.Get(slots_.rx_batches);
+  stats.rx_overflow = counters_.Get(slots_.rx_overflow);
+  stats.drop_banned = counters_.Get(slots_.drop_banned);
+  stats.auth_reports = counters_.Get(slots_.auth_reports);
+  stats.auth_shed = counters_.Get(slots_.auth_shed);
   stats.bans = fail2ban_->bans_issued();
-  stats.fast_hits = counters_.Get("xdp_fast_hits");
-  stats.fast_tx = counters_.Get("xdp_fast_tx");
-  stats.slow_packets = counters_.Get("xdp_slow_packets");
-  stats.slow_admitted = counters_.Get("xdp_slow_admitted");
-  stats.slow_shed = counters_.Get("xdp_slow_shed");
-  stats.flow_inserts = counters_.Get("xdp_flow_inserts");
-  stats.flow_updates = counters_.Get("xdp_flow_updates");
-  stats.teardowns = counters_.Get("xdp_teardowns");
-  stats.sprayed = counters_.Get("xdp_sprayed");
+  stats.fast_hits = counters_.Get(slots_.fast_hits);
+  stats.fast_tx = counters_.Get(slots_.fast_tx);
+  stats.slow_packets = counters_.Get(slots_.slow_packets);
+  stats.slow_admitted = counters_.Get(slots_.slow_admitted);
+  stats.slow_shed = counters_.Get(slots_.slow_shed);
+  stats.flow_inserts = counters_.Get(slots_.flow_inserts);
+  stats.flow_updates = counters_.Get(slots_.flow_updates);
+  stats.teardowns = counters_.Get(slots_.teardowns);
+  stats.sprayed = counters_.Get(slots_.sprayed);
   const storage::HashIndexStats flow_stats = flows_->Stats();
   stats.flow_entries = flow_stats.entries;
   stats.flow_max_chain = flow_stats.max_chain;
@@ -618,11 +617,11 @@ void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backen
   dpu::RpcRequest request;
   request.service = dpu::ServiceId::kKv;
   request.opcode = dpu::KvOp::kPut;
-  Bytes flow_bytes = key.Serialize();
+  const apps::FlowKey::Wire flow_bytes = key.Pack();
   ByteWriter payload(16 + flow_bytes.size());
   payload.PutU64(key.Hash());
   payload.PutU32(static_cast<uint32_t>(flow_bytes.size()));
-  payload.PutBytes(ByteSpan(flow_bytes.data(), flow_bytes.size()));
+  payload.PutBytes(SpanOf(flow_bytes));
   request.payload = Buffer(payload.Take());
   request.deadline = now + kSprayDeadline;
   ++spray_issued_;

@@ -220,6 +220,26 @@ class XdpPipeline {
   sim::SimTime t0_ = 0;           // trace origin on this node's clock
   sim::SimTime fabric_busy_ = 0;  // fabric chain busy-until
   sim::Counters counters_;
+  // The per-packet counters, interned at first bump (sim::Counters::Slot).
+  struct CounterSlots {
+    sim::Counters::Slot rx_batches{"xdp_rx_batches"};
+    sim::Counters::Slot rx_frames{"xdp_rx_frames"};
+    sim::Counters::Slot rx_overflow{"xdp_rx_overflow"};
+    sim::Counters::Slot fabric_cycles{"xdp_fabric_cycles"};
+    sim::Counters::Slot drop_banned{"xdp_drop_banned"};
+    sim::Counters::Slot auth_shed{"xdp_auth_shed"};
+    sim::Counters::Slot auth_reports{"xdp_auth_reports"};
+    sim::Counters::Slot fast_hits{"xdp_fast_hits"};
+    sim::Counters::Slot fast_tx{"xdp_fast_tx"};
+    sim::Counters::Slot front_miss{"xdp_front_miss"};
+    sim::Counters::Slot slow_packets{"xdp_slow_packets"};
+    sim::Counters::Slot slow_shed{"xdp_slow_shed"};
+    sim::Counters::Slot slow_admitted{"xdp_slow_admitted"};
+    sim::Counters::Slot teardowns{"xdp_teardowns"};
+    sim::Counters::Slot flow_updates{"xdp_flow_updates"};
+    sim::Counters::Slot flow_inserts{"xdp_flow_inserts"};
+    sim::Counters::Slot sprayed{"xdp_sprayed"};
+  } slots_;
   uint64_t verdict_hash_ = 0x811c9dc5u;
   uint64_t steady_offered_ = 0;
   uint64_t steady_delivered_ = 0;

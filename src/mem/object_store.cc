@@ -102,10 +102,7 @@ Status ObjectStore::CreateWithId(SegmentId id, uint64_t size, SegmentHints hints
   seg.base = base;
   seg.durable = hints.durable;
   RETURN_IF_ERROR(table_.Insert(seg));
-  if (h_segments_created_ == kUnresolved) [[unlikely]] {
-    h_segments_created_ = counters_.Intern("segments_created");
-  }
-  counters_.Increment(h_segments_created_);
+  counters_.Increment(segments_created_slot_);
   return Status::Ok();
 }
 
@@ -119,10 +116,7 @@ Result<Segment> ObjectStore::Describe(SegmentId id) const { return table_.Lookup
 
 const Segment* ObjectStore::Translate(SegmentId id) {
   engine_->Advance(SegmentTable::kLookupCost);
-  if (h_translations_ == kUnresolved) [[unlikely]] {
-    h_translations_ = counters_.Intern("translations");
-  }
-  counters_.Increment(h_translations_);
+  counters_.Increment(translations_slot_);
   return table_.Translate(id);
 }
 

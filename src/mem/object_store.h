@@ -117,11 +117,9 @@ class ObjectStore {
   uint64_t next_id_ = 1;
   Bytes nvme_scratch_;
   sim::Counters counters_;
-  // Per-access counter slots, interned lazily at first bump so untouched
-  // counters never appear in Snapshot().
-  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
-  sim::Counters::Handle h_translations_ = kUnresolved;
-  sim::Counters::Handle h_segments_created_ = kUnresolved;
+  // Counter slots, interned at first bump (see sim::Counters::Slot).
+  sim::Counters::Slot translations_slot_{"translations"};
+  sim::Counters::Slot segments_created_slot_{"segments_created"};
 };
 
 }  // namespace hyperion::mem

@@ -82,12 +82,8 @@ Completion Controller::Execute(const Command& cmd, MutableByteSpan read_into) {
         CHECK_OK(ns->ReadBlock(cmd.slba + i,
                                dest.subspan(static_cast<size_t>(i) * kLbaSize, kLbaSize)));
       }
-      if (h_reads_ == kUnresolved) [[unlikely]] {
-        h_reads_ = counters_.Intern("nvme_reads");
-        h_read_bytes_ = counters_.Intern("nvme_read_bytes");
-      }
-      counters_.Increment(h_reads_);
-      counters_.Add(h_read_bytes_, static_cast<uint64_t>(blocks) * kLbaSize);
+      counters_.Increment(reads_slot_);
+      counters_.Add(read_bytes_slot_, static_cast<uint64_t>(blocks) * kLbaSize);
       break;
     }
     case Opcode::kWrite: {
@@ -122,12 +118,8 @@ Completion Controller::Execute(const Command& cmd, MutableByteSpan read_into) {
         CHECK(reader.ok());
         CHECK_OK(ns->WriteBlock(cmd.slba + i, block));
       }
-      if (h_writes_ == kUnresolved) [[unlikely]] {
-        h_writes_ = counters_.Intern("nvme_writes");
-        h_write_bytes_ = counters_.Intern("nvme_write_bytes");
-      }
-      counters_.Increment(h_writes_);
-      counters_.Add(h_write_bytes_, static_cast<uint64_t>(blocks) * kLbaSize);
+      counters_.Increment(writes_slot_);
+      counters_.Add(write_bytes_slot_, static_cast<uint64_t>(blocks) * kLbaSize);
       break;
     }
     case Opcode::kFlush:
@@ -202,12 +194,8 @@ Status Controller::RingDoorbell(uint16_t qid) {
   }
   // One MMIO doorbell write publishes the whole batch: the per-ring cost is
   // paid once, however many SQEs ride it.
-  if (h_doorbells_ == kUnresolved) [[unlikely]] {
-    h_doorbells_ = counters_.Intern("nvme_doorbells");
-    h_doorbell_sqes_ = counters_.Intern("nvme_doorbell_sqes");
-  }
-  counters_.Increment(h_doorbells_);
-  counters_.Add(h_doorbell_sqes_, staged.size());
+  counters_.Increment(doorbells_slot_);
+  counters_.Add(doorbell_sqes_slot_, staged.size());
   engine_->Advance(doorbell_cost_);
   auto& sq = queues_[qid - 1]->sq;
   size_t pushed = 0;

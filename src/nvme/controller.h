@@ -142,15 +142,13 @@ class Controller {
   // Reused 1-block staging buffer for writes whose SG chain straddles a
   // segment boundary (was a fresh zeroed 4 KiB heap block per command).
   Bytes write_scratch_;
-  // Hot-path counter slots, interned lazily at first bump so untouched
-  // counters never appear in Snapshot().
-  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
-  sim::Counters::Handle h_reads_ = kUnresolved;
-  sim::Counters::Handle h_read_bytes_ = kUnresolved;
-  sim::Counters::Handle h_writes_ = kUnresolved;
-  sim::Counters::Handle h_write_bytes_ = kUnresolved;
-  sim::Counters::Handle h_doorbells_ = kUnresolved;
-  sim::Counters::Handle h_doorbell_sqes_ = kUnresolved;
+  // Counter slots, interned at first bump (see sim::Counters::Slot).
+  sim::Counters::Slot reads_slot_{"nvme_reads"};
+  sim::Counters::Slot read_bytes_slot_{"nvme_read_bytes"};
+  sim::Counters::Slot writes_slot_{"nvme_writes"};
+  sim::Counters::Slot write_bytes_slot_{"nvme_write_bytes"};
+  sim::Counters::Slot doorbells_slot_{"nvme_doorbells"};
+  sim::Counters::Slot doorbell_sqes_slot_{"nvme_doorbell_sqes"};
 };
 
 }  // namespace hyperion::nvme

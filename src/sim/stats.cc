@@ -106,27 +106,27 @@ std::string Histogram::SummaryNs() const {
   return os.str();
 }
 
-Counters::Handle Counters::Intern(const std::string& name) {
+uint32_t Counters::Intern(std::string_view name) {
   for (size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].first == name) {
-      return static_cast<Handle>(i);
+      return static_cast<uint32_t>(i);
     }
   }
-  entries_.emplace_back(name, 0);
-  return static_cast<Handle>(entries_.size() - 1);
+  entries_.emplace_back(std::string(name), 0);
+  return static_cast<uint32_t>(entries_.size() - 1);
 }
 
-void Counters::Add(const std::string& name, uint64_t delta) {
+void Counters::Add(std::string_view name, uint64_t delta) {
   for (auto& [k, v] : entries_) {
     if (k == name) {
       v += delta;
       return;
     }
   }
-  entries_.emplace_back(name, delta);
+  entries_.emplace_back(std::string(name), delta);
 }
 
-uint64_t Counters::Get(const std::string& name) const {
+uint64_t Counters::Get(std::string_view name) const {
   for (const auto& [k, v] : entries_) {
     if (k == name) {
       return v;
@@ -135,7 +135,12 @@ uint64_t Counters::Get(const std::string& name) const {
   return 0;
 }
 
-void Counters::Reset() { entries_.clear(); }
+void Counters::Reset() {
+  entries_.clear();
+  if (++generation_ == 0) {
+    generation_ = 1;  // 0 marks an unresolved slot
+  }
+}
 
 std::vector<std::pair<std::string, uint64_t>> Counters::Snapshot() const {
   auto copy = entries_;

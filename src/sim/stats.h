@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hyperion::sim {
@@ -51,26 +52,47 @@ class Histogram {
 // Named monotonic counters, used for hop/byte/op accounting in experiments.
 class Counters {
  public:
-  // Interned counter slot: resolve the name once at setup, then bump by
-  // index with no per-event string compares (the by-name Add below scans
-  // the linear map on every call, which showed up in the per-request RPC
-  // and NVMe paths). Handles are invalidated by Reset().
-  using Handle = uint32_t;
-  Handle Intern(const std::string& name);
+  // A counter bumped on a hot path. Its name is interned at the first bump;
+  // later bumps index the table with no string compare. A counter that is
+  // never bumped never appears in Snapshot(), exactly as with the by-name
+  // Add. A slot serves one Counters object; after Reset() it re-resolves.
+  class Slot {
+   public:
+    explicit constexpr Slot(std::string_view name) : name_(name) {}
 
-  void Add(Handle handle, uint64_t delta) { entries_[handle].second += delta; }
-  void Increment(Handle handle) { Add(handle, 1); }
+   private:
+    friend class Counters;
+    std::string_view name_;
+    uint32_t index_ = 0;
+    uint32_t generation_ = 0;  // never a Counters generation: unresolved
+  };
 
-  void Add(const std::string& name, uint64_t delta);
-  void Increment(const std::string& name) { Add(name, 1); }
-  uint64_t Get(const std::string& name) const;
+  void Add(Slot& slot, uint64_t delta) {
+    if (slot.generation_ != generation_) [[unlikely]] {
+      slot.index_ = Intern(slot.name_);
+      slot.generation_ = generation_;
+    }
+    entries_[slot.index_].second += delta;
+  }
+  void Increment(Slot& slot) { Add(slot, 1); }
+  uint64_t Get(const Slot& slot) const {
+    return slot.generation_ == generation_ ? entries_[slot.index_].second : 0;
+  }
+
+  // By name: scans the linear map on every call.
+  void Add(std::string_view name, uint64_t delta);
+  void Increment(std::string_view name) { Add(name, 1); }
+  uint64_t Get(std::string_view name) const;
   void Reset();
 
   // Stable (sorted) name/value listing for reports.
   std::vector<std::pair<std::string, uint64_t>> Snapshot() const;
 
  private:
+  uint32_t Intern(std::string_view name);
+
   std::vector<std::pair<std::string, uint64_t>> entries_;  // small-N linear map
+  uint32_t generation_ = 1;  // bumped by Reset(), which drops every entry
 };
 
 }  // namespace hyperion::sim

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <vector>
+
 #include "src/apps/fail2ban.h"
 #include "src/apps/load_balancer.h"
 #include "src/common/rng.h"
@@ -31,6 +37,23 @@ TEST(FlowKeyTest, HashAndEquality) {
   EXPECT_EQ(a.Hash(), b.Hash());
   EXPECT_NE(a, c);
   EXPECT_NE(a.Hash(), c.Hash());
+}
+
+// Consistent-hash placement depends on these exact values: Hash() is
+// FNV-1a over the 13-byte little-endian wire form.
+TEST(FlowKeyTest, HashIsFnvOfTheWireFormWithGoldenValues) {
+  const std::vector<std::pair<FlowKey, uint64_t>> golden = {
+      {{0x0a000001, 0x0a000002, 1234, 80, 6}, 0x246868628d5c0c72ull},
+      {{0, 0, 0, 0, 0}, 0x7c96179f62dae92full},
+      {{0xffffffff, 0xc0a80101, 65535, 443, 17}, 0x39a149bedd5d3134ull},
+  };
+  for (const auto& [key, hash] : golden) {
+    EXPECT_EQ(key.Hash(), hash) << key.ToString();
+    const FlowKey::Wire wire = key.Pack();
+    EXPECT_EQ(Fnv1a64(ByteSpan(wire.data(), wire.size())), hash);
+  }
+  const FlowKey::Wire wire = FlowKey{0x04030201, 0x08070605, 0x0a09, 0x0c0b, 0x0d}.Pack();
+  EXPECT_EQ(wire, (FlowKey::Wire{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}));
 }
 
 TEST(FlowKeyTest, ToStringFormatsDotted) {
@@ -208,6 +231,135 @@ TEST_F(AppsTest, FinTearsDownFlowState) {
   ASSERT_TRUE((*lb)->Route(fin).ok());
   EXPECT_EQ((*lb)->ResidentFlows(), 0u);
 }
+
+// Reference load balancer: std::list LRU + std::map tables, the same
+// consistent-hash ring, and an unbounded map standing in for the spill tier.
+class ReferenceLb {
+ public:
+  ReferenceLb(std::vector<Backend> backends, uint32_t capacity)
+      : backends_(std::move(backends)), capacity_(capacity) {
+    for (size_t b = 0; b < backends_.size(); ++b) {
+      for (uint32_t v = 0; v < 256; ++v) {
+        Bytes bytes;
+        PutU32(bytes, backends_[b].ip);
+        PutU16(bytes, backends_[b].port);
+        PutU32(bytes, v);
+        ring_[Mix64(Fnv1a64(ByteSpan(bytes.data(), bytes.size())))] = b;
+      }
+    }
+  }
+
+  Backend Route(const Packet& packet) {
+    ++stats.packets;
+    const FlowKey::Wire key = packet.flow.Pack();
+    const bool teardown = (packet.tcp_flags & (kTcpFin | kTcpRst)) != 0;
+    if (auto it = resident.find(key); it != resident.end()) {
+      ++stats.resident_hits;
+      const Backend backend = it->second.first;
+      lru_.erase(it->second.second);
+      if (teardown) {
+        resident.erase(it);
+      } else {
+        lru_.push_front(key);
+        it->second.second = lru_.begin();
+      }
+      return backend;
+    }
+    const bool fresh_syn = (packet.tcp_flags & kTcpSyn) != 0 && !teardown;
+    if (auto it = spilled.find(key); !fresh_syn && it != spilled.end()) {
+      ++stats.spill_hits;
+      const Backend backend = it->second;
+      spilled.erase(it);
+      if (!teardown) {
+        Insert(key, backend);
+        ++stats.promotions;
+      }
+      return backend;
+    }
+    auto point = ring_.lower_bound(Mix64(packet.flow.Hash()));
+    const Backend backend = backends_[(point == ring_.end() ? ring_.begin() : point)->second];
+    if (!teardown) {
+      ++stats.new_flows;
+      Insert(key, backend);
+    }
+    return backend;
+  }
+
+  LoadBalancerStats stats;
+  std::map<FlowKey::Wire, std::pair<Backend, std::list<FlowKey::Wire>::iterator>> resident;
+  std::map<FlowKey::Wire, Backend> spilled;
+
+ private:
+  static uint64_t Mix64(uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+  }
+
+  void Insert(const FlowKey::Wire& key, const Backend& backend) {
+    while (resident.size() >= capacity_) {
+      const FlowKey::Wire victim = lru_.back();
+      spilled[victim] = resident.at(victim).first;
+      lru_.pop_back();
+      resident.erase(victim);
+      ++stats.spills;
+    }
+    lru_.push_front(key);
+    resident[key] = {backend, lru_.begin()};
+  }
+
+  std::vector<Backend> backends_;
+  uint32_t capacity_;
+  std::map<uint64_t, size_t> ring_;
+  std::list<FlowKey::Wire> lru_;  // front = most recent
+};
+
+class LoadBalancerModelTest : public AppsTest, public ::testing::WithParamInterface<uint32_t> {};
+
+TEST_P(LoadBalancerModelTest, RandomTrafficMatchesReferenceLru) {
+  const uint32_t capacity = GetParam();
+  auto lb = LoadBalancer::Create(&dpu_, ThreeBackends(), capacity);
+  ASSERT_TRUE(lb.ok());
+  ReferenceLb ref(ThreeBackends(), capacity);
+  Rng rng(0x1b0000 + capacity);
+  // A pool of flows about 3x the resident capacity, so spills, promotions
+  // and stale spill entries (a SYN for a spilled flow) all occur.
+  std::vector<FlowKey> pool;
+  for (uint32_t i = 0; i < 3 * capacity + 5; ++i) {
+    pool.push_back(FlowKey{0x0a000000 + static_cast<uint32_t>(rng.Uniform(1u << 20)),
+                           0x08080808, static_cast<uint16_t>(rng.Uniform(65536)), 443, 6});
+  }
+  const uint8_t flag_choices[] = {kTcpSyn, kTcpAck, kTcpAck, kTcpAck, kTcpFin,
+                                  kTcpRst, kTcpSyn | kTcpAck, kTcpFin | kTcpAck, 0};
+  const uint32_t packets = std::max(3000u, 4 * capacity);
+  for (uint32_t i = 0; i < packets; ++i) {
+    Packet packet;
+    packet.flow = pool[rng.Uniform(pool.size())];
+    packet.tcp_flags = flag_choices[rng.Uniform(std::size(flag_choices))];
+    const Backend want = ref.Route(packet);
+    auto got = (*lb)->Route(packet);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(*got, want) << "packet " << i << " " << packet.flow.ToString();
+    ASSERT_EQ((*lb)->ResidentFlows(), ref.resident.size()) << "packet " << i;
+  }
+  const LoadBalancerStats& stats = (*lb)->stats();
+  EXPECT_EQ(stats.packets, ref.stats.packets);
+  EXPECT_EQ(stats.new_flows, ref.stats.new_flows);
+  EXPECT_EQ(stats.resident_hits, ref.stats.resident_hits);
+  EXPECT_EQ(stats.spills, ref.stats.spills);
+  EXPECT_EQ(stats.spill_hits, ref.stats.spill_hits);
+  EXPECT_EQ(stats.promotions, ref.stats.promotions);
+  EXPECT_EQ((*lb)->spill().EntryCount(), ref.spilled.size());
+  EXPECT_GT(stats.spills, 0u);
+  EXPECT_GT(stats.promotions, 0u);
+}
+
+// 4100 spans two blocks of the resident slab.
+INSTANTIATE_TEST_SUITE_P(Capacities, LoadBalancerModelTest,
+                         ::testing::Values(4u, 7u, 16u, 64u, 4100u));
 
 TEST_F(AppsTest, CannotRemoveLastBackend) {
   auto lb = LoadBalancer::Create(&dpu_, {{0xc0a80001, 80}}, 10);

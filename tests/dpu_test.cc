@@ -362,6 +362,64 @@ TEST_F(ControlTest, RawBitstreamLoadOverRpc) {
   EXPECT_DOUBLE_EQ(resident->fmax_mhz, 320.0);
 }
 
+// A malformed MapSpec used to reach ebpf::Map's constructor, whose CHECKs
+// abort the DPU. Each one must come back as InvalidArgument, on the direct
+// control call and over the control RPC, and create no map.
+std::vector<ebpf::MapSpec> MalformedMapSpecs() {
+  return {
+      {ebpf::MapType::kHash, 0, 8, 4, "zero_key"},
+      {ebpf::MapType::kHash, 4, 0, 4, "zero_value"},
+      {ebpf::MapType::kHash, 4, 8, 0, "zero_entries"},
+      {ebpf::MapType::kArray, 8, 8, 4, "wide_array_key"},
+      {static_cast<ebpf::MapType>(7), 4, 8, 4, "unknown_type"},
+      {ebpf::MapType::kHash, 513, 8, 4, "key_past_stack"},
+      {ebpf::MapType::kHash, 4, 513, 4, "value_past_stack"},
+      {ebpf::MapType::kHash, 4, 8, (1u << 24) + 1, "handles_past_24_bits"},
+  };
+}
+
+TEST_F(ControlTest, CreateMapRejectsMalformedSpecs) {
+  const size_t maps_before = dpu_.maps().Count();
+  for (const ebpf::MapSpec& spec : MalformedMapSpecs()) {
+    auto created = dpu_.CreateMap(dpu_.config().control_token, spec);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << spec.name;
+  }
+  EXPECT_EQ(dpu_.maps().Count(), maps_before);
+  // The limits themselves are accepted.
+  EXPECT_TRUE(dpu_.CreateMap(dpu_.config().control_token,
+                             {ebpf::MapType::kHash, 512, 512, 1u << 24, "widest"})
+                  .ok());
+  EXPECT_TRUE(dpu_.CreateMap(dpu_.config().control_token,
+                             {ebpf::MapType::kArray, 4, 1, 1, "smallest_array"})
+                  .ok());
+}
+
+TEST_F(ControlTest, CreateMapRpcRejectsMalformedSpecs) {
+  InstallServices();
+  ConnectClient();
+  auto create = [&](const ebpf::MapSpec& spec) {
+    Bytes payload;
+    PutString(payload, std::string(dpu_.config().control_token));
+    PutU32(payload, /*tenant=*/5);
+    payload.push_back(static_cast<uint8_t>(spec.type));
+    PutU32(payload, spec.key_size);
+    PutU32(payload, spec.value_size);
+    PutU32(payload, spec.max_entries);
+    PutString(payload, spec.name);
+    return Call(ServiceId::kControl, ControlOp::kCreateMap, std::move(payload));
+  };
+  const size_t maps_before = dpu_.maps().Count();
+  for (const ebpf::MapSpec& spec : MalformedMapSpecs()) {
+    EXPECT_EQ(create(spec).status.code(), StatusCode::kInvalidArgument) << spec.name;
+  }
+  EXPECT_EQ(dpu_.maps().Count(), maps_before);
+  RpcResponse good = create({ebpf::MapType::kHash, 8, 8, 64, "flows"});
+  ASSERT_TRUE(good.status.ok());
+  const ebpf::Map* map = dpu_.maps().Get(GetU32(good.payload, 0));
+  ASSERT_NE(map, nullptr);
+  EXPECT_EQ(map->spec().tenant, 5u);
+}
+
 }  // namespace control_path_extras
 
 namespace composition_checks {

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <map>
+#include <optional>
+#include <set>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/hdl_codegen.h"
 #include "src/ebpf/insn.h"
@@ -307,6 +314,264 @@ TEST(MapsTest, KeySizeMismatchRejected) {
   EXPECT_FALSE(map.Lookup(ByteSpan(short_key.data(), 2)).ok());
 }
 
+TEST(MapsTest, ValidateMapSpecBoundsEveryField) {
+  EXPECT_TRUE(ValidateMapSpec({MapType::kHash, 1, 1, 1, "min"}).ok());
+  EXPECT_TRUE(ValidateMapSpec({MapType::kHash, 512, 512, 1u << 24, "max"}).ok());
+  EXPECT_TRUE(ValidateMapSpec({MapType::kArray, 4, 8, 16, "array"}).ok());
+  for (const MapSpec& bad : std::vector<MapSpec>{
+           {MapType::kHash, 0, 8, 4, "zero_key"},
+           {MapType::kHash, 513, 8, 4, "wide_key"},
+           {MapType::kHash, 4, 0, 4, "zero_value"},
+           {MapType::kHash, 4, 513, 4, "wide_value"},
+           {MapType::kHash, 4, 8, 0, "no_entries"},
+           {MapType::kHash, 4, 8, (1u << 24) + 1, "too_many"},
+           {MapType::kArray, 2, 8, 4, "short_index"},
+           {static_cast<MapType>(2), 4, 8, 4, "bad_type"},
+       }) {
+    EXPECT_EQ(ValidateMapSpec(bad).code(), StatusCode::kInvalidArgument) << bad.name;
+  }
+}
+
+// Reference model of a hash map: the same slot policy (LIFO free list,
+// then the next unused slot) over std::map, so handles can be compared.
+struct ReferenceMap {
+  uint32_t max_entries;
+  std::map<Bytes, uint32_t> slot_of;
+  std::vector<Bytes> values;  // by slot
+  std::vector<uint32_t> free_slots;
+
+  std::optional<uint32_t> Find(const Bytes& key) const {
+    auto it = slot_of.find(key);
+    return it == slot_of.end() ? std::nullopt : std::optional<uint32_t>(it->second);
+  }
+  std::optional<uint32_t> Upsert(const Bytes& key, const Bytes& value) {
+    std::optional<uint32_t> slot = Find(key);
+    if (!slot) {
+      if (slot_of.size() >= max_entries) {
+        return std::nullopt;
+      }
+      if (!free_slots.empty()) {
+        slot = free_slots.back();
+        free_slots.pop_back();
+      } else {
+        slot = static_cast<uint32_t>(values.size());
+        values.emplace_back();
+      }
+      slot_of[key] = *slot;
+    }
+    values[*slot] = value;
+    return slot;
+  }
+  bool Erase(const Bytes& key) {
+    auto it = slot_of.find(key);
+    if (it == slot_of.end()) {
+      return false;
+    }
+    free_slots.push_back(it->second);
+    slot_of.erase(it);
+    return true;
+  }
+};
+
+class MapModelTest : public ::testing::TestWithParam<uint32_t> {};
+
+// Random Update/Lookup/Delete (Status wrappers and helper-path calls mixed)
+// against the reference, then delete/reinsert churn at max_entries so the
+// probes cross deleted cells and the index rehashes in place.
+TEST_P(MapModelTest, MatchesReferenceModel) {
+  const uint32_t key_size = GetParam();
+  constexpr uint32_t kMaxEntries = 48;
+  constexpr uint32_t kValueSize = 12;
+  Rng rng(0x5eed0000 + key_size);
+  // Distinct keys, at most 2x capacity (a 1-byte key has only 256).
+  std::vector<Bytes> universe;
+  std::set<Bytes> seen;
+  const size_t universe_size = std::min<size_t>(2 * kMaxEntries, 256);
+  while (universe.size() < universe_size) {
+    Bytes key(key_size);
+    for (auto& b : key) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    if (seen.insert(key).second) {
+      universe.push_back(key);
+    }
+  }
+  auto random_value = [&] {
+    Bytes value(kValueSize);
+    for (auto& b : value) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    return value;
+  };
+  auto span = [](const Bytes& b) { return ByteSpan(b.data(), b.size()); };
+
+  Map map({MapType::kHash, key_size, kValueSize, kMaxEntries, "model"});
+  ReferenceMap ref{kMaxEntries, {}, {}, {}};
+  auto check_entry = [&](const Bytes& key) {
+    const std::optional<uint32_t> want = ref.Find(key);
+    EXPECT_EQ(map.Find(span(key)), want.value_or(Map::kNoEntry));
+    Result<Bytes> got = map.Lookup(span(key));
+    ASSERT_EQ(got.ok(), want.has_value());
+    if (!want) {
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+      return;
+    }
+    EXPECT_EQ(*got, ref.values[*want]);
+    EXPECT_EQ(*map.ValueByHandle(*want), ref.values[*want]);
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    const Bytes& key = universe[rng.Uniform(universe.size())];
+    switch (rng.Uniform(6)) {
+      case 0: {
+        const Bytes value = random_value();
+        const std::optional<uint32_t> want = ref.Upsert(key, value);
+        Result<uint32_t> got = map.Update(span(key), span(value));
+        ASSERT_EQ(got.ok(), want.has_value());
+        if (want) {
+          EXPECT_EQ(*got, *want);
+        } else {
+          EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+        }
+        break;
+      }
+      case 1: {
+        const Bytes value = random_value();
+        const std::optional<uint32_t> want = ref.Upsert(key, value);
+        EXPECT_EQ(map.Upsert(span(key), span(value)), want.value_or(Map::kNoEntry));
+        break;
+      }
+      case 2: {
+        const bool want = ref.Erase(key);
+        const Status got = map.Delete(span(key));
+        EXPECT_EQ(got.code(), want ? StatusCode::kOk : StatusCode::kNotFound);
+        break;
+      }
+      case 3:
+        EXPECT_EQ(map.Erase(span(key)), ref.Erase(key));
+        break;
+      case 4: {
+        Bytes wrong(key_size + 1, 0);
+        EXPECT_EQ(map.Lookup(span(wrong)).status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(map.Update(span(key), span(wrong)).status().code(),
+                  StatusCode::kInvalidArgument);
+        EXPECT_EQ(map.Delete(span(wrong)).code(), StatusCode::kInvalidArgument);
+        break;
+      }
+      default:
+        check_entry(key);
+        break;
+    }
+    ASSERT_EQ(map.EntryCount(), ref.slot_of.size()) << "op " << op;
+  }
+
+  // Churn at capacity: fill, then delete one present key and insert one
+  // absent key, over and over.
+  for (const Bytes& key : universe) {
+    if (ref.slot_of.size() >= kMaxEntries) {
+      break;
+    }
+    const Bytes value = random_value();
+    EXPECT_EQ(map.Upsert(span(key), span(value)), *ref.Upsert(key, value));
+  }
+  ASSERT_EQ(map.EntryCount(), std::min<size_t>(kMaxEntries, universe.size()));
+  for (int round = 0; round < 4000; ++round) {
+    const Bytes& victim = universe[rng.Uniform(universe.size())];
+    EXPECT_EQ(map.Erase(span(victim)), ref.Erase(victim));
+    const Bytes& fresh = universe[rng.Uniform(universe.size())];
+    const Bytes value = random_value();
+    const std::optional<uint32_t> want = ref.Upsert(fresh, value);
+    EXPECT_EQ(map.Upsert(span(fresh), span(value)), want.value_or(Map::kNoEntry));
+    ASSERT_EQ(map.EntryCount(), ref.slot_of.size()) << "round " << round;
+  }
+  for (const Bytes& key : universe) {
+    check_entry(key);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, MapModelTest, ::testing::Values(1u, 4u, 8u, 13u, 64u));
+
+// -- Helper arguments out of bounds ------------------------------------
+
+// Helpers copy their key and value arguments out of VM memory. A pointer
+// reaching outside its region must fail as one-byte loads of it would:
+// PermissionDenied with the load's message, and the map left unchanged.
+struct HelperArgCase {
+  const char* name;
+  const char* source;
+  const char* error;  // nullptr: the run succeeds and returns `ret`
+  uint64_t ret = 0;
+};
+
+TEST(VmHelperArgsTest, OutOfBoundsKeysAndValuesFailLikeLoads) {
+  const std::vector<HelperArgCase> cases = {
+      {"stack key straddles the frame top",
+       "ld_map_fd r1, 0\nmov r2, r10\nadd r2, -2\ncall map_lookup\nexit\n",
+       "stack load out of bounds"},
+      {"stack key at the frame top", "ld_map_fd r1, 0\nmov r2, r10\ncall map_lookup\nexit\n",
+       "stack load out of bounds"},
+      {"ctx key straddles the ctx end",
+       "mov r2, r1\nadd r2, 62\nld_map_fd r1, 0\ncall map_lookup\nexit\n",
+       "ctx load out of bounds"},
+      {"ctx key far past the ctx end",
+       "mov r2, r1\nadd r2, 4096\nld_map_fd r1, 0\ncall map_lookup\nexit\n",
+       "ctx load out of bounds"},
+      {"ctx key ending at the ctx end",
+       "mov r2, r1\nadd r2, 60\nld_map_fd r1, 0\ncall map_lookup\nexit\n", nullptr, 0},
+      {"non-pointer key", "ld_map_fd r1, 0\nmov r2, 7\ncall map_lookup\nexit\n",
+       "load through non-pointer value"},
+      {"update value straddles the frame top",
+       "stw [r10-8], 5\nld_map_fd r1, 0\nmov r2, r10\nadd r2, -8\nmov r3, r10\nadd r3, -4\n"
+       "mov r4, 0\ncall map_update\nexit\n",
+       "stack load out of bounds"},
+      {"update value straddles the ctx end",
+       "mov r2, r1\nmov r3, r1\nadd r3, 60\nld_map_fd r1, 0\nmov r4, 0\ncall map_update\n"
+       "exit\n",
+       "ctx load out of bounds"},
+      {"update key is not a pointer",
+       "ld_map_fd r1, 0\nmov r2, 0\nmov r3, r10\nadd r3, -8\nmov r4, 0\ncall map_update\nexit\n",
+       "load through non-pointer value"},
+      {"delete key straddles the ctx end",
+       "mov r2, r1\nadd r2, 61\nld_map_fd r1, 0\ncall map_delete\nexit\n",
+       "ctx load out of bounds"},
+      {"delete key is not a pointer", "ld_map_fd r1, 0\nmov r2, 1\ncall map_delete\nexit\n",
+       "load through non-pointer value"},
+      {"key read from a map value",
+       "stw [r10-4], 1\nld_map_fd r1, 0\nmov r2, r10\nadd r2, -4\ncall map_lookup\n"
+       "jeq r0, 0, miss\nmov r2, r0\nld_map_fd r1, 1\ncall map_lookup\njeq r0, 0, miss\n"
+       "mov r0, 7\nexit\nmiss:\nmov r0, 3\nexit\n",
+       nullptr, 7},
+      {"key straddles a map value's end",
+       "stw [r10-4], 1\nld_map_fd r1, 0\nmov r2, r10\nadd r2, -4\ncall map_lookup\n"
+       "jeq r0, 0, miss\nmov r2, r0\nadd r2, 4\nld_map_fd r1, 1\ncall map_lookup\nexit\n"
+       "miss:\nmov r0, 3\nexit\n",
+       "map value load out of bounds"},
+  };
+  for (const HelperArgCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    MapRegistry maps;
+    maps.Create({MapType::kHash, 4, 8, 4, "by_u32"});
+    maps.Create({MapType::kHash, 8, 8, 4, "by_u64"});
+    const Bytes key1 = {1, 0, 0, 0};
+    const Bytes value1 = {9, 8, 7, 6, 5, 4, 3, 2};
+    ASSERT_TRUE(maps.Get(0)->Update(ByteSpan(key1.data(), 4), ByteSpan(value1.data(), 8)).ok());
+    ASSERT_TRUE(maps.Get(1)->Update(ByteSpan(value1.data(), 8), ByteSpan(value1.data(), 8)).ok());
+    Vm vm(&maps);
+    Bytes ctx(64, 0);
+    auto run = vm.Run(MustAssemble(c.source, 64), MutableByteSpan(ctx));
+    if (c.error == nullptr) {
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->return_value, c.ret);
+    } else {
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kPermissionDenied);
+      EXPECT_EQ(run.status().message(), std::string_view(c.error));
+    }
+    EXPECT_EQ(maps.Get(0)->EntryCount(), 1u);
+    EXPECT_EQ(*maps.Get(0)->Lookup(ByteSpan(key1.data(), 4)), value1);
+  }
+}
+
 // -- Verifier ---------------------------------------------------------
 
 VerifyStats MustVerify(const Program& p, const MapRegistry& maps) {
@@ -537,6 +802,71 @@ TEST(VerifierTest, RejectsHelperWithWrongArgType) {
       exit
   )");
   EXPECT_NE(RejectionOf(p, maps).find("map reference"), std::string::npos);
+}
+
+// Decoded programs carry 4-bit register fields, so r11..r15 can arrive over
+// the control path. Every instruction class must reject them before it
+// indexes its register state.
+TEST(VerifierTest, RejectsOutOfRangeRegisterFields) {
+  MapRegistry maps;
+  std::vector<std::vector<Insn>> bodies;
+  bodies.emplace_back();
+  LoadImm64(bodies.back(), 13, 5);
+  bodies.push_back({LoadMem(kSizeW, 12, 1, 0)});
+  bodies.push_back({LoadMem(kSizeW, 3, 14, 0)});
+  bodies.push_back({StoreImm(kSizeW, 15, 0, 1)});
+  bodies.push_back({StoreReg(kSizeW, 10, -8, 11)});
+  bodies.push_back({AtomicAdd(kSizeDw, 10, -8, 12)});
+  bodies.push_back({JumpImm(kJmpJeq, 12, 0, 0)});
+  bodies.push_back({JumpReg(kJmpJgt, 0, 15, 0)});
+  bodies.push_back({Alu64Reg(kAluAdd, 0, 13)});
+  bodies.push_back({Mov64Imm(14, 1)});
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    Program p;
+    p.ctx_size = 64;
+    p.insns.push_back(Mov64Imm(0, 0));
+    p.insns.insert(p.insns.end(), bodies[i].begin(), bodies[i].end());
+    p.insns.push_back(Exit());
+    const std::string why = RejectionOf(p, maps);
+    EXPECT_NE(why.find("bad register number"), std::string::npos) << "body " << i << ": " << why;
+  }
+}
+
+// Found by the decoder fuzz: opcodes the VM traps on must not verify.
+TEST(VerifierTest, RejectsUnknownAluAndJumpOps) {
+  MapRegistry maps;
+  for (uint8_t op : {uint8_t{0xe0}, uint8_t{0xf0}}) {
+    Program alu;
+    alu.insns = {Mov64Imm(0, 1), Alu64Imm(op, 0, 1), Exit()};
+    EXPECT_NE(RejectionOf(alu, maps).find("unknown ALU op"), std::string::npos);
+    Program jmp;
+    jmp.insns = {Mov64Imm(0, 1), JumpImm(op, 0, 1, 0), Exit()};
+    EXPECT_NE(RejectionOf(jmp, maps).find("unknown jump op"), std::string::npos);
+  }
+}
+
+// Found by the decoder fuzz: the verifier folded 32-bit shifts with 64-bit
+// semantics, so a pointer offset it proved in bounds was not the one the VM
+// computed.
+TEST(VerifierTest, FoldsAlu32ShiftsLikeTheVm) {
+  MapRegistry maps;
+  Program lsh;  // VM: 1 << (33 & 31) = 2, so the store lands at [506, 514)
+  lsh.ctx_size = 64;
+  lsh.insns = {Mov64Imm(3, 1),          Alu32Imm(kAluLsh, 3, 33), Mov64Reg(2, 10),
+               Alu64Imm(kAluAdd, 2, -8), Alu64Reg(kAluAdd, 2, 3),  StoreImm(kSizeDw, 2, 0, 1),
+               Mov64Imm(0, 0),           Exit()};
+  EXPECT_NE(RejectionOf(lsh, maps).find("stack access"), std::string::npos);
+  Program arsh;  // VM: int32(0x80000000) >> 28 = 0xfffffff8, not 8
+  arsh.ctx_size = 64;
+  arsh.insns = {Mov64Imm(3, INT32_MIN),    Alu32Imm(kAluArsh, 3, 28), Mov64Reg(2, 10),
+                Alu64Imm(kAluAdd, 2, -16), Alu64Reg(kAluAdd, 2, 3),   StoreImm(kSizeDw, 2, 0, 1),
+                Mov64Imm(0, 0),            Exit()};
+  EXPECT_NE(RejectionOf(arsh, maps).find("stack access"), std::string::npos);
+  MapRegistry vm_maps;
+  Vm vm(&vm_maps);
+  Bytes ctx(64, 0);
+  EXPECT_EQ(vm.Run(lsh, MutableByteSpan(ctx)).status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(vm.Run(arsh, MutableByteSpan(ctx)).status().code(), StatusCode::kPermissionDenied);
 }
 
 TEST(VerifierTest, BranchesExploreBothPaths) {

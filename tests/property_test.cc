@@ -168,6 +168,146 @@ TEST_P(VerifierFuzz, AcceptedProgramsNeverTrapTheVm) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerifierFuzz, ::testing::Range<uint64_t>(1, 13));
 
+// -- eBPF program decoder fuzz ----------------------------------------------
+
+// ParseProgram decodes programs shipped over the control RPC. Every mutated
+// input must come back as a Result error or as a program the verifier then
+// judges without UB (the CI runs this under ASan/UBSan); a program the
+// verifier accepts must also run in the VM without trapping.
+class ProgramDecoderFuzz : public ::testing::Test {
+ protected:
+  ProgramDecoderFuzz() {
+    maps_.Create({ebpf::MapType::kHash, 4, 8, 32, "fuzz_hash"});
+    maps_.Create({ebpf::MapType::kArray, 4, 16, 8, "fuzz_array"});
+    Rng rng(0xdec0de02);
+    while (seeds_.size() < 24) {
+      const ebpf::Program prog = RandomProgram(rng, /*with_map=*/true);
+      if (seeds_.size() < 12 || ebpf::Verify(prog, maps_).ok()) {
+        seeds_.push_back(ebpf::SerializeProgram(prog));
+      }
+    }
+  }
+
+  // Header: u32 name length, name, u32 ctx_size, u32 count; then 8-byte
+  // instructions (opcode, dst|src<<4, off u16, imm u32).
+  static size_t InsnsOffset(const Bytes& wire) { return 4 + GetU32(wire, 0) + 8; }
+
+  void Judge(const Bytes& wire) {
+    ++decoded_;
+    Result<ebpf::Program> prog = ebpf::ParseProgram(ByteSpan(wire.data(), wire.size()));
+    if (!prog.ok()) {
+      EXPECT_EQ(prog.status().code(), StatusCode::kDataLoss);
+      return;
+    }
+    ++parsed_;
+    Result<ebpf::VerifyStats> verdict = ebpf::Verify(*prog, maps_);
+    if (!verdict.ok()) {
+      EXPECT_EQ(verdict.status().code(), StatusCode::kPermissionDenied);
+      return;
+    }
+    ++accepted_;
+    if (prog->ctx_size > 4096) {
+      return;  // accepted, but not worth a buffer that large
+    }
+    Bytes ctx(prog->ctx_size, 0x5a);
+    ebpf::Vm vm(&maps_);
+    Result<ebpf::ExecResult> run = vm.Run(*prog, MutableByteSpan(ctx));
+    EXPECT_TRUE(run.ok()) << "accepted program trapped: " << run.status().ToString();
+  }
+
+  void TearDown() override {
+    RecordProperty("decoded", static_cast<int>(decoded_));
+    RecordProperty("parsed", static_cast<int>(parsed_));
+    RecordProperty("accepted", static_cast<int>(accepted_));
+  }
+
+  ebpf::MapRegistry maps_;
+  std::vector<Bytes> seeds_;
+  uint64_t decoded_ = 0;
+  uint64_t parsed_ = 0;
+  uint64_t accepted_ = 0;
+};
+
+TEST_F(ProgramDecoderFuzz, ByteFlipsAreErrorsOrJudgedPrograms) {
+  Rng rng(0xf11b0001);
+  for (int iter = 0; iter < 20000; ++iter) {
+    Bytes wire = seeds_[rng.Uniform(seeds_.size())];
+    const uint64_t flips = 1 + rng.Uniform(4);
+    for (uint64_t f = 0; f < flips; ++f) {
+      wire[rng.Uniform(wire.size())] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+    }
+    Judge(wire);
+  }
+  EXPECT_GT(parsed_, 0u);
+  EXPECT_GT(accepted_, 1000u);
+}
+
+TEST_F(ProgramDecoderFuzz, TruncationsAreDataLoss) {
+  for (const Bytes& seed : seeds_) {
+    for (size_t len = 0; len < seed.size(); ++len) {
+      Bytes prefix(seed.begin(), seed.begin() + static_cast<ptrdiff_t>(len));
+      Result<ebpf::Program> prog = ebpf::ParseProgram(ByteSpan(prefix.data(), prefix.size()));
+      ASSERT_FALSE(prog.ok()) << "prefix " << len << " of " << seed.size();
+      EXPECT_EQ(prog.status().code(), StatusCode::kDataLoss);
+    }
+    // Trailing bytes past the declared count are ignored.
+    Bytes longer = seed;
+    longer.insert(longer.end(), {1, 2, 3});
+    ASSERT_TRUE(ebpf::ParseProgram(ByteSpan(longer.data(), longer.size())).ok());
+  }
+}
+
+TEST_F(ProgramDecoderFuzz, CountOpcodeRegisterAndImmediateMutations) {
+  Rng rng(0xf11b0002);
+  for (int iter = 0; iter < 20000; ++iter) {
+    Bytes wire = seeds_[rng.Uniform(seeds_.size())];
+    const size_t insns_at = InsnsOffset(wire);
+    const size_t count = (wire.size() - insns_at) / 8;
+    const size_t insn = insns_at + 8 * rng.Uniform(count);
+    switch (rng.Uniform(6)) {
+      case 0: {  // the instruction count: small, huge, or one off
+        const uint32_t choices[] = {0, 1, static_cast<uint32_t>(count - 1),
+                                    static_cast<uint32_t>(count + 1), 65536, 65537,
+                                    0xffffffffu, static_cast<uint32_t>(rng.Next())};
+        const uint32_t value = choices[rng.Uniform(std::size(choices))];
+        for (int b = 0; b < 4; ++b) {
+          wire[insns_at - 4 + b] = static_cast<uint8_t>(value >> (8 * b));
+        }
+        break;
+      }
+      case 1:  // any opcode
+        wire[insn] = static_cast<uint8_t>(rng.Next());
+        break;
+      case 2:  // register fields, r11..r15 included
+        wire[insn + 1] = static_cast<uint8_t>(rng.Next());
+        break;
+      case 3:  // jump offset
+        wire[insn + 2] = static_cast<uint8_t>(rng.Next());
+        wire[insn + 3] = static_cast<uint8_t>(rng.Next());
+        break;
+      case 4:  // immediate: helper ids, map ids, endian widths, constants
+        for (int b = 0; b < 4; ++b) {
+          wire[insn + 4 + b] = static_cast<uint8_t>(rng.Next());
+        }
+        if (rng.Bernoulli(0.5)) {
+          wire[insn + 4] = static_cast<uint8_t>(rng.Uniform(8));
+          wire[insn + 5] = wire[insn + 6] = wire[insn + 7] = 0;
+        }
+        break;
+      default: {  // ctx_size
+        const uint32_t ctx = static_cast<uint32_t>(rng.Uniform(2) == 0 ? rng.Uniform(128)
+                                                                          : rng.Next());
+        for (int b = 0; b < 4; ++b) {
+          wire[insns_at - 8 + b] = static_cast<uint8_t>(ctx >> (8 * b));
+        }
+        break;
+      }
+    }
+    Judge(wire);
+  }
+  EXPECT_GT(accepted_, 1000u);
+}
+
 // -- Transports under parameterized loss -----------------------------------
 
 struct LossCase {

@@ -228,6 +228,46 @@ TEST(CountersTest, SnapshotIsSorted) {
   EXPECT_EQ(snap[1].first, "zeta");
 }
 
+TEST(CountersTest, SlotMatchesByNameCountingAndSnapshot) {
+  Counters by_name;
+  Counters by_slot;
+  Counters::Slot bytes{"bytes_moved_over_the_wire"};  // past the SSO buffer
+  Counters::Slot ops{"ops"};
+  Counters::Slot unused{"never_bumped"};
+  by_name.Add("ops", 2);
+  by_slot.Add(ops, 2);
+  by_name.Add("bytes_moved_over_the_wire", 100);
+  by_slot.Add(bytes, 100);
+  by_name.Increment("bytes_moved_over_the_wire");
+  by_slot.Increment(bytes);
+  by_slot.Increment("ops");  // by name and by slot share one entry
+  by_name.Increment("ops");
+  EXPECT_EQ(by_slot.Snapshot(), by_name.Snapshot());
+  EXPECT_EQ(by_slot.Get(bytes), 101u);
+  EXPECT_EQ(by_slot.Get("ops"), 3u);
+  // A slot never bumped stays out of the snapshot and reads zero.
+  EXPECT_EQ(by_slot.Get(unused), 0u);
+  EXPECT_EQ(by_slot.Snapshot().size(), 2u);
+}
+
+TEST(CountersTest, SlotResolvesAgainAfterReset) {
+  Counters c;
+  Counters::Slot first{"first"};
+  Counters::Slot second{"second"};
+  c.Increment(first);
+  c.Add(second, 5);
+  c.Reset();
+  EXPECT_EQ(c.Get(first), 0u);
+  EXPECT_EQ(c.Get(second), 0u);
+  // After the reset "second" lands in entry 0; the stale slots must not
+  // bump each other's entries.
+  c.Add(second, 7);
+  c.Increment(first);
+  EXPECT_EQ(c.Get("second"), 7u);
+  EXPECT_EQ(c.Get("first"), 1u);
+  EXPECT_EQ(c.Snapshot().size(), 2u);
+}
+
 // -- Energy ---------------------------------------------------------------
 
 TEST(EnergyTest, IdleDrawIntegratesOverTime) {
