@@ -39,7 +39,7 @@ enum class ServiceId : uint16_t {
   kFile = 5,   // virtio-fs/DPFS-style remote file access (annotation-driven)
   kApp = 6,    // Willow-style user RPC: opcode = accelerator id, payload = ctx
   kRepKv = 7,  // replicated KV: Corfu chain replication + epoch/seal failover
-  kLsmKv = 8,  // LSM engine (PR 6) served as an RPC workload (KvOp opcodes)
+  kLsmKv = 8,  // LsmEngine on ZNS: KvOp kPut, kGet -> [found u8][len u32][value]
   kScan = 9,   // analytics scan pushdown (PR 10): FPGA Parquet scan kernels
 };
 

@@ -317,6 +317,67 @@ RpcResponse HyperionServices::HandleFile(uint16_t opcode, const Buffer& payload)
   }
 }
 
+Status HyperionServices::ServeLsm() {
+  if (lsm_ != nullptr) {
+    return AlreadyExists("LSM already served");
+  }
+  constexpr uint64_t kZoneLbas = 128;
+  constexpr uint32_t kZones = 48;
+  const uint32_t nsid = dpu_->nvme().AddNamespace(kZones * kZoneLbas);
+  ASSIGN_OR_RETURN(nvme::ZonedNamespace zns,
+                   nvme::ZonedNamespace::Create(&dpu_->nvme(), nsid, kZoneLbas));
+  zns_ = std::make_unique<nvme::ZonedNamespace>(std::move(zns));
+  // The engine runs on the DPU's clock, so its I/O costs land in the
+  // served-request latency like every other substrate.
+  ASSIGN_OR_RETURN(lsm_, storage::LsmEngine::Format(
+                             storage::LsmDeps{.engine = dpu_->engine(), .zns = zns_.get()}));
+  dpu_->rpc().RegisterService(ServiceId::kLsmKv, [this](uint16_t opcode, const Buffer& payload) {
+    return HandleLsm(opcode, payload);
+  });
+  return Status::Ok();
+}
+
+RpcResponse HyperionServices::HandleLsm(uint16_t opcode, const Buffer& payload) {
+  ChargeShell();
+  ByteReader reader(payload);
+  switch (opcode) {
+    case KvOp::kPut: {
+      const uint64_t key = reader.ReadU64();
+      const uint32_t len = reader.ReadU32();
+      if (!reader.Ok() || reader.remaining() < len) {
+        return RpcResponse::Fail(InvalidArgument("malformed LSM put"));
+      }
+      Result<uint64_t> seq = lsm_->Put(key, payload.span().subspan(reader.offset(), len));
+      if (!seq.ok()) {
+        return RpcResponse::Fail(seq.status());
+      }
+      // The ack barrier: the response leaves only after the WAL group
+      // holding this mutation is on media.
+      Status synced = lsm_->Sync();
+      return synced.ok() ? RpcResponse::Ok() : RpcResponse::Fail(synced);
+    }
+    case KvOp::kGet: {
+      const uint64_t key = reader.ReadU64();
+      if (!reader.Ok()) {
+        return RpcResponse::Fail(InvalidArgument("malformed LSM get"));
+      }
+      Result<std::optional<Bytes>> got = lsm_->Get(key);
+      if (!got.ok()) {
+        return RpcResponse::Fail(got.status());
+      }
+      ByteWriter out;
+      out.PutU8(got->has_value() ? 1 : 0);
+      if (got->has_value()) {
+        out.PutU32(static_cast<uint32_t>((*got)->size()));
+        out.PutBytes(ByteSpan((*got)->data(), (*got)->size()));
+      }
+      return RpcResponse::Ok(out.Take());
+    }
+    default:
+      return RpcResponse::Fail(Unimplemented("unknown LSM opcode"));
+  }
+}
+
 RpcResponse HyperionServices::HandleControl(uint16_t opcode, const Buffer& payload) {
   ChargeShell();
   ByteReader reader(payload);

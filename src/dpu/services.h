@@ -1,7 +1,7 @@
 // Hyperion's network-attached data services (paper §2.4): KV-SSD, B+ tree
-// with offloaded *and* client-driven access, and the Corfu-style shared
-// log — all served from the DPU's single-level store through the
-// Willow-style RPC layer, with zero host CPU anywhere.
+// with offloaded *and* client-driven access, the Corfu-style shared log
+// and, on demand, the LSM engine on a zoned namespace — all served through
+// the Willow-style RPC layer, with zero host CPU anywhere.
 
 #ifndef HYPERION_SRC_DPU_SERVICES_H_
 #define HYPERION_SRC_DPU_SERVICES_H_
@@ -10,14 +10,18 @@
 
 #include "src/dpu/hyperion.h"
 #include "src/dpu/rpc.h"
+#include "src/fs/annotation.h"
+#include "src/nvme/zns.h"
 #include "src/storage/bptree.h"
 #include "src/storage/corfu.h"
-#include "src/fs/annotation.h"
 #include "src/storage/kv.h"
+#include "src/storage/lsm_engine.h"
 
 namespace hyperion::dpu {
 
-// RPC opcodes per service.
+// RPC opcodes per service. kLsmKv takes kPut and kGet with the same
+// requests; its get reply is [found u8][len u32][value] (found = 0: the
+// reply is that one byte).
 struct KvOp {
   static constexpr uint16_t kPut = 1;     // [key u64][len u32][value]
   static constexpr uint16_t kGet = 2;     // [key u64] -> [value]
@@ -71,7 +75,7 @@ struct ControlOp {
 };
 
 // Instantiates the service state on a booted DPU and registers the RPC
-// handlers. Owns the KV store, tree, and log.
+// handlers. Owns the KV store, tree, log and, once served, the LSM.
 class HyperionServices {
  public:
   // `kv_backend` picks the index layout for the KV service.
@@ -87,6 +91,14 @@ class HyperionServices {
   // implementation. The volume must already be formatted.
   Status ServeVolume(uint32_t nsid);
 
+  // Adds a zoned namespace (48 zones x 128 LBAs) to the DPU's controller,
+  // formats an LsmEngine on it that runs on the DPU's clock, and serves it
+  // under ServiceId::kLsmKv. A put is acknowledged only after the WAL
+  // group holding it is on media, so every kOk is durable. AlreadyExists
+  // on a second call; lsm() is valid once it returned OK.
+  Status ServeLsm();
+  storage::LsmEngine& lsm() { return *lsm_; }
+
  private:
   explicit HyperionServices(Hyperion* dpu) : dpu_(dpu) {}
 
@@ -99,6 +111,7 @@ class HyperionServices {
   RpcResponse HandleLog(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleBlock(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleFile(uint16_t opcode, const Buffer& payload);
+  RpcResponse HandleLsm(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleApp(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleControl(uint16_t opcode, const Buffer& payload);
 
@@ -110,6 +123,8 @@ class HyperionServices {
   std::unique_ptr<storage::KvStore> kv_;
   std::unique_ptr<storage::BPlusTree> tree_;
   std::unique_ptr<storage::CorfuLog> log_;
+  std::unique_ptr<nvme::ZonedNamespace> zns_;  // outlives lsm_
+  std::unique_ptr<storage::LsmEngine> lsm_;
 };
 
 }  // namespace hyperion::dpu

@@ -20,76 +20,11 @@ constexpr uint32_t kScanFabricRegions = 2;
 
 OverloadCluster::ServerNode::ServerNode(dpu::Fleet::Node& node, OverloadWorkload workload)
     : clock(&node.clock) {
-  dpu::Hyperion& dpu = *node.dpu;
-  auto installed = dpu::HyperionServices::Install(&dpu, storage::KvBackend::kBTree);
+  auto installed = dpu::HyperionServices::Install(node.dpu.get(), storage::KvBackend::kBTree);
   CHECK(installed.ok());
   services = std::move(*installed);
   if (workload == OverloadWorkload::kLsmKv) {
-    // A zoned namespace beside the block namespaces, formatted for the PR 6
-    // LSM engine; the engine runs on the server's node clock so its I/O
-    // costs land in the served-request latency like every other substrate.
-    constexpr uint64_t kZoneLbas = 128;
-    constexpr uint32_t kZones = 48;
-    const uint32_t nsid = dpu.nvme().AddNamespace(kZones * kZoneLbas);
-    auto zoned = nvme::ZonedNamespace::Create(&dpu.nvme(), nsid, kZoneLbas);
-    CHECK_OK(zoned.status());
-    zns = std::make_unique<nvme::ZonedNamespace>(std::move(zoned).value());
-    auto formatted = storage::LsmEngine::Format(
-        storage::LsmDeps{.engine = clock, .zns = zns.get(), .injector = nullptr});
-    CHECK_OK(formatted.status());
-    lsm = std::move(*formatted);
-    dpu.rpc().RegisterService(dpu::ServiceId::kLsmKv,
-                              [this](uint16_t opcode, const Buffer& payload) {
-                                return HandleLsm(opcode, payload);
-                              });
-  }
-}
-
-dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
-                                                        const Buffer& payload) {
-  clock->Advance(1200);  // shell datapath cost, same as the plain services
-  ByteReader reader(payload);
-  switch (opcode) {
-    case dpu::KvOp::kPut: {
-      const uint64_t key = reader.ReadU64();
-      const uint32_t len = reader.ReadU32();
-      if (!reader.Ok() || reader.remaining() < len) {
-        return dpu::RpcResponse::Fail(InvalidArgument("malformed LSM put"));
-      }
-      const Bytes value = reader.ReadBytes(len);
-      auto seq = lsm->Put(key, ByteSpan(value.data(), value.size()));
-      if (!seq.ok()) {
-        return dpu::RpcResponse::Fail(seq.status());
-      }
-      // The ack barrier: the response leaves only after the WAL group
-      // holding this mutation is on media.
-      Status synced = lsm->Sync();
-      if (!synced.ok()) {
-        return dpu::RpcResponse::Fail(synced);
-      }
-      return dpu::RpcResponse::Ok();
-    }
-    case dpu::KvOp::kGet: {
-      const uint64_t key = reader.ReadU64();
-      if (!reader.Ok()) {
-        return dpu::RpcResponse::Fail(InvalidArgument("malformed LSM get"));
-      }
-      auto got = lsm->Get(key);
-      if (!got.ok()) {
-        return dpu::RpcResponse::Fail(got.status());
-      }
-      ByteWriter out;
-      if (got->has_value()) {
-        out.PutU8(1);
-        out.PutU32(static_cast<uint32_t>((*got)->size()));
-        out.PutBytes(ByteSpan((*got)->data(), (*got)->size()));
-      } else {
-        out.PutU8(0);
-      }
-      return dpu::RpcResponse::Ok(Buffer(out.Take()));
-    }
-    default:
-      return dpu::RpcResponse::Fail(Unimplemented("unknown LSM opcode"));
+    CHECK_OK(services->ServeLsm());
   }
 }
 
@@ -221,9 +156,9 @@ OverloadResult OverloadCluster::Run() {
     // Warm dataset, installed directly (no wire) before the measured phase.
     for (uint64_t key = 0; key < options_.kv_key_space; ++key) {
       Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(key * 131 + 17));
-      CHECK_OK(server_->lsm->Put(key, ByteSpan(value.data(), value.size())).status());
+      CHECK_OK(server_->services->lsm().Put(key, ByteSpan(value.data(), value.size())).status());
     }
-    CHECK_OK(server_->lsm->Sync());
+    CHECK_OK(server_->services->lsm().Sync());
   }
   // Clients start once the server has drained boot from its pipeline.
   const sim::SimTime start_base = fleet_.StartBase();

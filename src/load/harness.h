@@ -32,11 +32,9 @@
 #include "src/fpga/fabric.h"
 #include "src/fpga/scheduler.h"
 #include "src/load/loadgen.h"
-#include "src/nvme/zns.h"
 #include "src/obs/metrics.h"
 #include "src/sim/fault.h"
 #include "src/sim/stats.h"
-#include "src/storage/lsm_engine.h"
 
 namespace hyperion::load {
 
@@ -58,8 +56,8 @@ struct OverloadClusterOptions {
   uint32_t requests_per_client = 64;
   sim::Duration interarrival = 20 * sim::kMicrosecond;
   sim::Duration deadline = 1 * sim::kMillisecond;  // relative; 0 = none
-  // Workload selection (kLsmKv: the server formats an LsmEngine on a zoned
-  // namespace and serves it under ServiceId::kLsmKv; puts are acknowledged
+  // Workload selection (kLsmKv: the server serves an LsmEngine on a zoned
+  // namespace through HyperionServices::ServeLsm; puts are acknowledged
   // only after their WAL group sync, so every kOk is durable).
   OverloadWorkload workload = OverloadWorkload::kBlockRead;
   uint64_t kv_key_space = 256;   // preloaded before the measured phase
@@ -160,13 +158,9 @@ class OverloadCluster {
   // The KV server's services on fleet node 0.
   struct ServerNode {
     ServerNode(dpu::Fleet::Node& node, OverloadWorkload workload);
-    dpu::RpcResponse HandleLsm(uint16_t opcode, const Buffer& payload);
     sim::Engine* clock;  // node 0's clock
+    // kLsmKv also serves the LSM engine (HyperionServices::ServeLsm).
     std::unique_ptr<dpu::HyperionServices> services;
-    // kLsmKv only: a zoned namespace added to the DPU's controller and the
-    // LSM engine formatted onto it, driven on the server's node clock.
-    std::unique_ptr<nvme::ZonedNamespace> zns;
-    std::unique_ptr<storage::LsmEngine> lsm;
   };
   // The analytics tenant living on node 0 beside the KV server: Parquet
   // table on its own NVMe controller behind a small FPGA fabric, scan

@@ -23,79 +23,45 @@ mem::SegmentId ValueSegment(uint64_t store_id, uint64_t key) {
 }  // namespace
 
 std::string_view KvBackendName(KvBackend backend) {
-  switch (backend) {
-    case KvBackend::kBTree:
-      return "btree";
-    case KvBackend::kLsm:
-      return "lsm";
-    case KvBackend::kHash:
-      return "hash";
-  }
-  return "?";
+  return backend == KvBackend::kBTree ? "btree" : "hash";
 }
 
 Result<KvStore> KvStore::Create(mem::ObjectStore* store, uint64_t store_id, KvBackend backend) {
-  KvStore kv(backend);
+  KvStore kv;
   kv.store_ = store;
   kv.store_id_ = store_id;
-  switch (backend) {
-    case KvBackend::kBTree: {
-      ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(store, store_id, {.durable = true}));
-      kv.btree_ = std::make_unique<BPlusTree>(std::move(tree));
-      break;
-    }
-    case KvBackend::kLsm:
-      kv.lsm_ = std::make_unique<LsmTree>(store, store_id);
-      break;
-    case KvBackend::kHash: {
-      ASSIGN_OR_RETURN(HashIndex index, HashIndex::Create(store, store_id, 64));
-      kv.hash_ = std::make_unique<HashIndex>(std::move(index));
-      break;
-    }
+  if (backend == KvBackend::kBTree) {
+    ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(store, store_id, {.durable = true}));
+    kv.btree_ = std::make_unique<BPlusTree>(std::move(tree));
+  } else {
+    ASSIGN_OR_RETURN(HashIndex index, HashIndex::Create(store, store_id, 64));
+    kv.hash_ = std::make_unique<HashIndex>(std::move(index));
   }
   return kv;
 }
 
 Status KvStore::IndexPut(uint64_t key, ByteSpan tagged) {
-  switch (backend_) {
-    case KvBackend::kBTree:
-      return btree_->Insert(key, tagged);
-    case KvBackend::kLsm:
-      return lsm_->Put(key, tagged);
-    case KvBackend::kHash: {
-      Bytes kb = KeyBytes(key);
-      return hash_->Put(ByteSpan(kb.data(), kb.size()), tagged);
-    }
+  if (btree_) {
+    return btree_->Insert(key, tagged);
   }
-  return Internal("bad backend");
+  Bytes kb = KeyBytes(key);
+  return hash_->Put(ByteSpan(kb.data(), kb.size()), tagged);
 }
 
 Result<Bytes> KvStore::IndexGet(uint64_t key) {
-  switch (backend_) {
-    case KvBackend::kBTree:
-      return btree_->Get(key);
-    case KvBackend::kLsm:
-      return lsm_->Get(key);
-    case KvBackend::kHash: {
-      Bytes kb = KeyBytes(key);
-      return hash_->Get(ByteSpan(kb.data(), kb.size()));
-    }
+  if (btree_) {
+    return btree_->Get(key);
   }
-  return Internal("bad backend");
+  Bytes kb = KeyBytes(key);
+  return hash_->Get(ByteSpan(kb.data(), kb.size()));
 }
 
 Status KvStore::IndexDelete(uint64_t key) {
-  switch (backend_) {
-    case KvBackend::kBTree:
-      return btree_->Delete(key);
-    case KvBackend::kLsm:
-      return lsm_->Delete(key);
-    case KvBackend::kHash: {
-      Bytes kb = KeyBytes(key);
-      return hash_->Delete(ByteSpan(kb.data(), kb.size()));
-    }
+  if (btree_) {
+    return btree_->Delete(key);
   }
-  return Internal("bad backend");
+  Bytes kb = KeyBytes(key);
+  return hash_->Delete(ByteSpan(kb.data(), kb.size()));
 }
 
 Status KvStore::DropIndirect(uint64_t key) {
@@ -133,23 +99,7 @@ Status KvStore::Put(uint64_t key, ByteSpan value) {
   return IndexPut(key, ByteSpan(ref.data(), ref.size()));
 }
 
-Result<Bytes> KvStore::Get(uint64_t key) {
-  ASSIGN_OR_RETURN(Bytes tagged, IndexGet(key));
-  if (tagged.empty()) {
-    return DataLoss("untagged KV value");
-  }
-  if (tagged[0] == kInline) {
-    return Bytes(tagged.begin() + 1, tagged.end());
-  }
-  if (tagged[0] == kIndirect) {
-    const uint64_t size = GetU64(tagged, 1);
-    return store_->Read(ValueSegment(store_id_, key), 0, size);
-  }
-  return DataLoss("corrupt KV value tag");
-}
-
-Result<Buffer> KvStore::GetBuffer(uint64_t key) {
-  ASSIGN_OR_RETURN(Bytes tagged, IndexGet(key));
+Result<Buffer> KvStore::Untag(uint64_t key, Bytes tagged) {
   if (tagged.empty()) {
     return DataLoss("untagged KV value");
   }
@@ -157,12 +107,23 @@ Result<Buffer> KvStore::GetBuffer(uint64_t key) {
     // Adopt the tagged block and slice past the tag — shares the backing.
     return Buffer(std::move(tagged)).Slice(1);
   }
-  if (tagged[0] == kIndirect) {
-    const uint64_t size = GetU64(tagged, 1);
-    ASSIGN_OR_RETURN(Bytes value, store_->Read(ValueSegment(store_id_, key), 0, size));
-    return Buffer(std::move(value));
+  if (tagged[0] != kIndirect || tagged.size() < 9) {
+    return DataLoss("corrupt KV value tag");
   }
-  return DataLoss("corrupt KV value tag");
+  ASSIGN_OR_RETURN(Bytes value,
+                   store_->Read(ValueSegment(store_id_, key), 0, GetU64(tagged, 1)));
+  return Buffer(std::move(value));
+}
+
+Result<Bytes> KvStore::Get(uint64_t key) {
+  ASSIGN_OR_RETURN(Bytes tagged, IndexGet(key));
+  ASSIGN_OR_RETURN(Buffer value, Untag(key, std::move(tagged)));
+  return Bytes(value.data(), value.data() + value.size());
+}
+
+Result<Buffer> KvStore::GetBuffer(uint64_t key) {
+  ASSIGN_OR_RETURN(Bytes tagged, IndexGet(key));
+  return Untag(key, std::move(tagged));
 }
 
 Status KvStore::Delete(uint64_t key) {
@@ -171,30 +132,15 @@ Status KvStore::Delete(uint64_t key) {
 }
 
 Result<std::vector<std::pair<uint64_t, Bytes>>> KvStore::Scan(uint64_t lo, uint64_t hi) {
-  if (backend_ == KvBackend::kHash) {
+  if (!btree_) {
     return Unimplemented("hash index has no key order");
   }
-  std::vector<std::pair<uint64_t, Bytes>> rows;
-  if (backend_ == KvBackend::kBTree) {
-    ASSIGN_OR_RETURN(rows, btree_->Scan(lo, hi));
-  } else {
-    ASSIGN_OR_RETURN(rows, lsm_->Scan(lo, hi));
-  }
-  std::vector<std::pair<uint64_t, Bytes>> out;
-  out.reserve(rows.size());
+  ASSIGN_OR_RETURN(auto rows, btree_->Scan(lo, hi));
   for (auto& [key, tagged] : rows) {
-    if (tagged.empty()) {
-      return DataLoss("untagged KV value");
-    }
-    if (tagged[0] == kInline) {
-      out.emplace_back(key, Bytes(tagged.begin() + 1, tagged.end()));
-    } else {
-      const uint64_t size = GetU64(tagged, 1);
-      ASSIGN_OR_RETURN(Bytes value, store_->Read(ValueSegment(store_id_, key), 0, size));
-      out.emplace_back(key, std::move(value));
-    }
+    ASSIGN_OR_RETURN(Buffer value, Untag(key, std::move(tagged)));
+    tagged.assign(value.data(), value.data() + value.size());
   }
-  return out;
+  return rows;
 }
 
 }  // namespace hyperion::storage

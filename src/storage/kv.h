@@ -1,10 +1,11 @@
 // KV-SSD facade (paper §2: storage API menu "NVMoF, KV, ZNS"; §2.4:
 // network-attached SSDs exporting "trees, lookup-tables").
 //
-// One key-value interface over a pluggable index backend so workloads (and
-// experiment E9's YCSB-style mixes) can choose read-optimized (B+ tree),
-// write-optimized (LSM), or point-lookup-optimized (hash) layouts without
-// changing call sites. Keys are u64 (KV-SSD style fixed keys); values are
+// One key-value interface over a pluggable index backend, so workloads can
+// choose an ordered (B+ tree) or a point-lookup (hash) layout without
+// changing call sites. The write-optimized layout is the LsmEngine on ZNS,
+// served beside this store as ServiceId::kLsmKv (dpu/services.h); E9 runs
+// its YCSB mixes across all three. Keys are u64 (KV-SSD style fixed keys); values are
 // byte strings of any size: small values inline in the index, large ones
 // spill into their own durable segments with a reference in the index (the
 // classic KV-SSD value-log split).
@@ -21,11 +22,11 @@
 #include "src/mem/object_store.h"
 #include "src/storage/bptree.h"
 #include "src/storage/hash_index.h"
-#include "src/storage/lsm.h"
 
 namespace hyperion::storage {
 
-enum class KvBackend { kBTree, kLsm, kHash };
+// The values seed store ids and print as test parameters, so they stay fixed.
+enum class KvBackend { kBTree = 0, kHash = 2 };
 
 std::string_view KvBackendName(KvBackend backend);
 
@@ -46,22 +47,22 @@ class KvStore {
   // Ordered scan; kUnimplemented on the hash backend.
   Result<std::vector<std::pair<uint64_t, Bytes>>> Scan(uint64_t lo, uint64_t hi);
 
-  KvBackend backend() const { return backend_; }
-
  private:
-  explicit KvStore(KvBackend backend) : backend_(backend) {}
+  KvStore() = default;
 
   Status IndexPut(uint64_t key, ByteSpan tagged);
   Result<Bytes> IndexGet(uint64_t key);
   Status IndexDelete(uint64_t key);
   // Deletes the spilled value segment for `key`, if one exists.
   Status DropIndirect(uint64_t key);
+  // The one decoder for a tagged index value: an inline value is a slice
+  // past the tag, an indirect ref [tag][size u64] is read from its spill
+  // segment. DataLoss for an empty value, an unknown tag or a short ref.
+  Result<Buffer> Untag(uint64_t key, Bytes tagged);
 
-  KvBackend backend_;
   mem::ObjectStore* store_ = nullptr;
   uint64_t store_id_ = 0;
   std::unique_ptr<BPlusTree> btree_;
-  std::unique_ptr<LsmTree> lsm_;
   std::unique_ptr<HashIndex> hash_;
 };
 

@@ -169,6 +169,66 @@ TEST_F(DpuTest, KvScanOverRpc) {
   EXPECT_EQ(GetU32(rows.payload, 0), 4u);  // keys 12..15
 }
 
+// kLsmKv: KvOp::kPut acks only once durable; KvOp::kGet replies
+// [found u8][len u32][value], or the single byte 0 for a missing key.
+TEST_F(DpuTest, LsmServiceOverRpc) {
+  BootAndConnect();
+  ASSERT_TRUE(services_->ServeLsm().ok());
+  Bytes put;
+  PutU64(put, 42);
+  Bytes value = ToBytes("hello-lsm");
+  PutU32(put, static_cast<uint32_t>(value.size()));
+  PutBytes(put, ByteSpan(value.data(), value.size()));
+  ASSERT_TRUE(Call(ServiceId::kLsmKv, KvOp::kPut, put).status.ok());
+  EXPECT_EQ(services_->lsm().last_acked_seq(), services_->lsm().last_assigned_seq());
+
+  Bytes get;
+  PutU64(get, 42);
+  RpcResponse got = Call(ServiceId::kLsmKv, KvOp::kGet, get);
+  ASSERT_TRUE(got.status.ok());
+  Bytes want = {1};
+  PutU32(want, static_cast<uint32_t>(value.size()));
+  PutBytes(want, ByteSpan(value.data(), value.size()));
+  EXPECT_EQ(got.payload, want);
+
+  Bytes missing;
+  PutU64(missing, 999);
+  RpcResponse absent = Call(ServiceId::kLsmKv, KvOp::kGet, missing);
+  ASSERT_TRUE(absent.status.ok());
+  EXPECT_EQ(absent.payload, Bytes{0});
+  // One engine per DPU: a second ServeLsm leaves the first one serving.
+  EXPECT_EQ(services_->ServeLsm().code(), StatusCode::kAlreadyExists);
+  EXPECT_TRUE(Call(ServiceId::kLsmKv, KvOp::kGet, get).status.ok());
+}
+
+TEST_F(DpuTest, LsmServiceRejectsMalformedRequests) {
+  BootAndConnect();
+  ASSERT_TRUE(services_->ServeLsm().ok());
+  // A put whose length runs past the payload.
+  Bytes short_put;
+  PutU64(short_put, 1);
+  PutU32(short_put, 16);
+  PutBytes(short_put, ByteSpan(ToBytes("only-eight")));
+  EXPECT_EQ(Call(ServiceId::kLsmKv, KvOp::kPut, short_put).status.code(),
+            StatusCode::kInvalidArgument);
+  // A value one byte over the engine's limit.
+  Bytes big_put;
+  PutU64(big_put, 2);
+  Bytes big(storage::kLsmMaxValueLen + 1, 0x5a);
+  PutU32(big_put, static_cast<uint32_t>(big.size()));
+  PutBytes(big_put, ByteSpan(big.data(), big.size()));
+  EXPECT_EQ(Call(ServiceId::kLsmKv, KvOp::kPut, big_put).status.code(),
+            StatusCode::kInvalidArgument);
+  // A get without a full key, and an opcode the service does not know.
+  EXPECT_EQ(Call(ServiceId::kLsmKv, KvOp::kGet, Bytes{1, 2, 3}).status.code(),
+            StatusCode::kInvalidArgument);
+  Bytes key;
+  PutU64(key, 1);
+  EXPECT_EQ(Call(ServiceId::kLsmKv, KvOp::kDelete, key).status.code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(services_->lsm().stats().puts, 0u);
+}
+
 TEST_F(DpuTest, LogServiceOverRpc) {
   BootAndConnect();
   Bytes entry = ToBytes("log-entry-0");

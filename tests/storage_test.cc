@@ -1,4 +1,4 @@
-// Tests for the storage engines: B+ tree, LSM tree, hash index, Corfu log,
+// Tests for the storage engines: B+ tree, LSM engine, hash index, Corfu log,
 // and WAL transactions (including crash-injection recovery).
 
 #include <gtest/gtest.h>
@@ -11,13 +11,14 @@
 #include "src/common/rng.h"
 #include "src/mem/object_store.h"
 #include "src/nvme/controller.h"
+#include "src/nvme/zns.h"
 #include "src/sim/engine.h"
 #include "src/storage/bptree.h"
 #include "src/storage/corfu.h"
 #include "src/storage/graph.h"
 #include "src/storage/hash_index.h"
 #include "src/storage/kv.h"
-#include "src/storage/lsm.h"
+#include "src/storage/lsm_engine.h"
 #include "src/storage/txn.h"
 
 namespace hyperion::storage {
@@ -40,9 +41,23 @@ class StorageTest : public ::testing::Test {
     return v;
   }
 
+  // An LsmEngine on a fresh 48 x 128-LBA zoned namespace of ctrl_.
+  std::unique_ptr<LsmEngine> FormatLsm(size_t memtable_budget) {
+    const uint32_t nsid = ctrl_.AddNamespace(48 * 128);
+    auto zns = nvme::ZonedNamespace::Create(&ctrl_, nsid, 128);
+    CHECK_OK(zns.status());
+    zns_ = std::make_unique<nvme::ZonedNamespace>(std::move(*zns));
+    LsmEngineOptions options;
+    options.memtable_budget_bytes = memtable_budget;
+    auto lsm = LsmEngine::Format({.engine = &engine_, .zns = zns_.get()}, options);
+    CHECK_OK(lsm.status());
+    return std::move(*lsm);
+  }
+
   sim::Engine engine_;
   nvme::Controller ctrl_;
   std::unique_ptr<mem::ObjectStore> store_;
+  std::unique_ptr<nvme::ZonedNamespace> zns_;
 };
 
 // -- B+ tree ----------------------------------------------------------------
@@ -428,101 +443,117 @@ TEST_F(StorageTest, BTreeRawWalkMatchesDecodePathOnCorruptNodes) {
   }
 }
 
-// -- LSM --------------------------------------------------------------------
+// -- LSM engine ---------------------------------------------------------------
+// KvStore has no LSM layout: the write-optimized store is the LsmEngine on
+// ZNS (served as ServiceId::kLsmKv). lsm_model_test checks it against a
+// std::map model; these pin single behaviours.
 
 TEST_F(StorageTest, LsmPutGetThroughFlushes) {
-  LsmTree lsm(store_.get(), 1, /*memtable_budget=*/8 * 1024);
+  auto lsm = FormatLsm(8 * 1024);
   for (uint64_t k = 0; k < 1000; ++k) {
     Bytes v = Value(k);
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), v.size())).ok());
+    ASSERT_TRUE(lsm->Put(k, ByteSpan(v.data(), v.size())).ok());
   }
-  EXPECT_GT(lsm.stats().flushes, 0u);
+  EXPECT_GT(lsm->stats().flushes, 0u);
   for (uint64_t k = 0; k < 1000; ++k) {
-    auto got = lsm.Get(k);
-    ASSERT_TRUE(got.ok()) << k;
-    EXPECT_EQ(*got, Value(k));
+    auto got = lsm->Get(k);
+    ASSERT_TRUE(got.ok() && got->has_value()) << k;
+    EXPECT_EQ(**got, Value(k));
   }
 }
 
 TEST_F(StorageTest, LsmNewestVersionWins) {
-  LsmTree lsm(store_.get(), 2, 4 * 1024);
+  auto lsm = FormatLsm(4 * 1024);
   Bytes v1 = {1};
   Bytes v2 = {2};
-  ASSERT_TRUE(lsm.Put(42, ByteSpan(v1.data(), 1)).ok());
-  ASSERT_TRUE(lsm.Flush().ok());
-  ASSERT_TRUE(lsm.Put(42, ByteSpan(v2.data(), 1)).ok());
-  EXPECT_EQ(*lsm.Get(42), v2);
-  ASSERT_TRUE(lsm.Flush().ok());
-  EXPECT_EQ(*lsm.Get(42), v2);
+  ASSERT_TRUE(lsm->Put(42, ByteSpan(v1.data(), 1)).ok());
+  ASSERT_TRUE(lsm->Flush().ok());
+  ASSERT_TRUE(lsm->Put(42, ByteSpan(v2.data(), 1)).ok());
+  EXPECT_EQ(lsm->Get(42)->value(), v2);
+  ASSERT_TRUE(lsm->Flush().ok());
+  EXPECT_EQ(lsm->Get(42)->value(), v2);
 }
 
 TEST_F(StorageTest, LsmTombstonesShadowOlderValues) {
-  LsmTree lsm(store_.get(), 3, 4 * 1024);
+  auto lsm = FormatLsm(4 * 1024);
   Bytes v = {7};
-  ASSERT_TRUE(lsm.Put(10, ByteSpan(v.data(), 1)).ok());
-  ASSERT_TRUE(lsm.Flush().ok());
-  ASSERT_TRUE(lsm.Delete(10).ok());
-  EXPECT_EQ(lsm.Get(10).status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(lsm.Flush().ok());
-  EXPECT_EQ(lsm.Get(10).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(lsm->Put(10, ByteSpan(v.data(), 1)).ok());
+  ASSERT_TRUE(lsm->Flush().ok());
+  ASSERT_TRUE(lsm->Delete(10).ok());
+  EXPECT_FALSE(lsm->Get(10)->has_value());
+  ASSERT_TRUE(lsm->Flush().ok());
+  EXPECT_FALSE(lsm->Get(10)->has_value());
 }
 
 TEST_F(StorageTest, LsmCompactionBoundsL0AndDropsTombstones) {
-  LsmTree lsm(store_.get(), 4, 2 * 1024);
+  auto lsm = FormatLsm(2 * 1024);
   for (uint64_t k = 0; k < 2000; ++k) {
     Bytes v = Value(k);
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), v.size())).ok());
+    ASSERT_TRUE(lsm->Put(k, ByteSpan(v.data(), v.size())).ok());
+    if (k % 500 == 0) {
+      ASSERT_TRUE(lsm->Delete(k).ok());
+    }
+    if (k % 8 == 0) {
+      ASSERT_TRUE(lsm->CompactStep().ok());
+    }
   }
-  ASSERT_TRUE(lsm.Flush().ok());
-  EXPECT_GT(lsm.stats().compactions, 0u);
-  auto [l0, l1] = lsm.TableCounts();
-  EXPECT_LT(l0, LsmTree::kMaxL0Tables);
-  EXPECT_GT(l1, 0u);
-  // Everything still readable post-compaction.
+  ASSERT_TRUE(lsm->Flush().ok());
+  ASSERT_TRUE(lsm->CompactAll().ok());
+  EXPECT_GT(lsm->stats().compactions, 0u);
+  EXPECT_GT(lsm->stats().compaction_drop_entries, 0u);
+  EXPECT_LT(lsm->LevelTableCount(0), LsmEngineOptions().l0_compaction_trigger);
+  EXPECT_GT(lsm->LevelTableCount(1), 0u);
+  // Everything still readable post-compaction; deleted keys stay deleted.
   for (uint64_t k = 0; k < 2000; k += 97) {
-    ASSERT_TRUE(lsm.Get(k).ok()) << k;
+    auto got = lsm->Get(k);
+    ASSERT_TRUE(got.ok()) << k;
+    EXPECT_EQ(got->has_value(), k % 500 != 0) << k;
   }
 }
 
 TEST_F(StorageTest, LsmBloomFiltersSkipFlashReads) {
-  LsmTree lsm(store_.get(), 5, 4 * 1024);
+  auto lsm = FormatLsm(4 * 1024);
   for (uint64_t k = 0; k < 500; ++k) {
     Bytes v = Value(k);
-    ASSERT_TRUE(lsm.Put(k * 2, ByteSpan(v.data(), v.size())).ok());  // even keys
+    ASSERT_TRUE(lsm->Put(k * 2, ByteSpan(v.data(), v.size())).ok());  // even keys
   }
-  ASSERT_TRUE(lsm.Flush().ok());
-  // Odd keys fall inside [min,max] but are absent: blooms absorb most
-  // probes before any flash read.
+  ASSERT_TRUE(lsm->Flush().ok());
+  // Odd keys fall inside the tables' [min, max] but are absent: blooms
+  // absorb most probes before any block read.
   for (uint64_t k = 1; k < 400; k += 2) {
-    EXPECT_FALSE(lsm.Get(k).ok());
+    auto got = lsm->Get(k);
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got->has_value());
   }
-  EXPECT_GT(lsm.stats().bloom_skips, 0u);
+  EXPECT_GT(lsm->stats().bloom_skips, 0u);
 }
 
 TEST_F(StorageTest, LsmPropertyMatchesStdMap) {
-  LsmTree lsm(store_.get(), 6, 2 * 1024);
+  auto lsm = FormatLsm(2 * 1024);
   std::map<uint64_t, Bytes> model;
   Rng rng(777);
   for (int i = 0; i < 2000; ++i) {
     const uint64_t key = rng.Uniform(300);
     if (rng.Bernoulli(0.25)) {
       model.erase(key);
-      ASSERT_TRUE(lsm.Delete(key).ok());
+      ASSERT_TRUE(lsm->Delete(key).ok());
     } else {
       Bytes v;
       PutU64(v, rng.Next());
       model[key] = v;
-      ASSERT_TRUE(lsm.Put(key, ByteSpan(v.data(), v.size())).ok());
+      ASSERT_TRUE(lsm->Put(key, ByteSpan(v.data(), v.size())).ok());
+    }
+    if (i % 8 == 0) {
+      ASSERT_TRUE(lsm->CompactStep().ok());
     }
   }
   for (uint64_t key = 0; key < 300; ++key) {
-    auto got = lsm.Get(key);
+    auto got = lsm->Get(key);
+    ASSERT_TRUE(got.ok()) << key;
     auto it = model.find(key);
-    if (it == model.end()) {
-      EXPECT_FALSE(got.ok()) << key;
-    } else {
-      ASSERT_TRUE(got.ok()) << key;
-      EXPECT_EQ(*got, it->second);
+    ASSERT_EQ(got->has_value(), it != model.end()) << key;
+    if (it != model.end()) {
+      EXPECT_EQ(**got, it->second) << key;
     }
   }
 }
@@ -959,7 +990,7 @@ TEST_P(KvParamTest, PutGetDeleteAcrossBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KvParamTest,
-                         ::testing::Values(KvBackend::kBTree, KvBackend::kLsm, KvBackend::kHash),
+                         ::testing::Values(KvBackend::kBTree, KvBackend::kHash),
                          [](const auto& info) {
                            return std::string(KvBackendName(info.param));
                          });
@@ -1004,37 +1035,61 @@ TEST_F(StorageTest, KvScanMaterializesSpilledValues) {
 
 TEST_F(StorageTest, KvScanOnOrderedBackendsOnly) {
   auto btree_kv = KvStore::Create(store_.get(), 50, KvBackend::kBTree);
-  auto lsm_kv = KvStore::Create(store_.get(), 52, KvBackend::kLsm);
   auto hash_kv = KvStore::Create(store_.get(), 51, KvBackend::kHash);
   ASSERT_TRUE(btree_kv.ok());
-  ASSERT_TRUE(lsm_kv.ok());
   ASSERT_TRUE(hash_kv.ok());
   Bytes v = {1};
   ASSERT_TRUE(btree_kv->Put(1, ByteSpan(v.data(), 1)).ok());
-  ASSERT_TRUE(lsm_kv->Put(1, ByteSpan(v.data(), 1)).ok());
   EXPECT_TRUE(btree_kv->Scan(0, 10).ok());
-  EXPECT_TRUE(lsm_kv->Scan(0, 10).ok());
   EXPECT_EQ(hash_kv->Scan(0, 10).status().code(), StatusCode::kUnimplemented);
 }
 
+// Index values are read back from flash, so Get, GetBuffer and Scan must
+// reject a corrupt tag byte and an indirect ref too short to hold its size.
+TEST_F(StorageTest, KvMalformedTaggedValueIsDataLoss) {
+  constexpr uint64_t kStore = 53;
+  auto kv = KvStore::Create(store_.get(), kStore, KvBackend::kBTree);
+  ASSERT_TRUE(kv.ok());
+  Bytes v = {0xa5, 0x5a};
+  ASSERT_TRUE(kv->Put(1, ByteSpan(v.data(), v.size())).ok());
+  // The store's B+ tree is one leaf, node 1, holding [tag][0xa5][0x5a].
+  const mem::SegmentId leaf = BPlusNodeSegment(kStore, 1);
+  auto image = store_->Read(leaf, 0, BPlusTree::kNodeBytes);
+  ASSERT_TRUE(image.ok());
+  auto view = RawNodeView::Open(*image);
+  ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view->value(0).size(), 3u);
+  const size_t tag_offset = view->value(0).data() - image->data();
+  for (uint8_t tag : {uint8_t{0x07}, uint8_t{0x01}}) {  // unknown; indirect of 3 bytes
+    Bytes planted = *image;
+    planted[tag_offset] = tag;
+    ASSERT_TRUE(store_->Write(leaf, 0, ByteSpan(planted)).ok());
+    EXPECT_EQ(kv->Get(1).status().code(), StatusCode::kDataLoss) << int{tag};
+    EXPECT_EQ(kv->GetBuffer(1).status().code(), StatusCode::kDataLoss) << int{tag};
+    EXPECT_EQ(kv->Scan(0, 10).status().code(), StatusCode::kDataLoss) << int{tag};
+  }
+}
+
 TEST_F(StorageTest, LsmScanMergesLevelsNewestWins) {
-  LsmTree lsm(store_.get(), 20, 2 * 1024);
-  // Old versions end up in L1 via compaction, new ones in memtable/L0.
+  auto lsm = FormatLsm(2 * 1024);
+  // Old versions end up in deeper levels via compaction, new ones in the
+  // memtable/L0.
   for (uint64_t k = 0; k < 400; ++k) {
     Bytes v = {1};
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), 1)).ok());
+    ASSERT_TRUE(lsm->Put(k, ByteSpan(v.data(), 1)).ok());
   }
-  ASSERT_TRUE(lsm.Flush().ok());
+  ASSERT_TRUE(lsm->Flush().ok());
+  ASSERT_TRUE(lsm->CompactAll().ok());
   // Overwrite a subset and delete another subset, leaving them in newer
   // layers.
   for (uint64_t k = 100; k < 120; ++k) {
     Bytes v = {2};
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), 1)).ok());
+    ASSERT_TRUE(lsm->Put(k, ByteSpan(v.data(), 1)).ok());
   }
   for (uint64_t k = 150; k < 160; ++k) {
-    ASSERT_TRUE(lsm.Delete(k).ok());
+    ASSERT_TRUE(lsm->Delete(k).ok());
   }
-  auto rows = lsm.Scan(90, 169);
+  auto rows = lsm->Scan(90, 169);
   ASSERT_TRUE(rows.ok());
   // 80 keys in range minus 10 tombstoned.
   EXPECT_EQ(rows->size(), 70u);
@@ -1052,8 +1107,8 @@ TEST_F(StorageTest, LsmScanMergesLevelsNewestWins) {
 }
 
 TEST_F(StorageTest, LsmScanInvertedRangeRejected) {
-  LsmTree lsm(store_.get(), 21);
-  EXPECT_FALSE(lsm.Scan(10, 5).ok());
+  auto lsm = FormatLsm(4 * 1024);
+  EXPECT_EQ(lsm->Scan(10, 5).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
