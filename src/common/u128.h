@@ -53,8 +53,6 @@ struct U128 {
     return r;
   }
 
-  constexpr bool IsZero() const { return hi == 0 && lo == 0; }
-
   // 32 hex digits, zero padded: "0123456789abcdef0123456789abcdef".
   std::string ToHex() const;
 

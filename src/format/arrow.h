@@ -42,7 +42,6 @@ class RecordBatch {
 
   const Schema& schema() const { return schema_; }
   uint64_t rows() const { return rows_; }
-  size_t ColumnCount() const { return columns_.size(); }
 
   Result<size_t> ColumnIndex(const std::string& name) const;
 

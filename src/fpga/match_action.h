@@ -91,9 +91,8 @@ class MatchActionPipeline {
   // at its Fmax); capacity in packets/s is 1e9 / this.
   sim::Duration AdmissionPeriod() const;
 
-  // Region + cycle count to charge for a batch (the bottleneck stage does
-  // the most cycles of work; the others overlap under it).
-  RegionId BottleneckRegion() const { return stages_[bottleneck_].info.region; }
+  // Cycle count to charge for a batch (the bottleneck stage does the most
+  // cycles of work; the others overlap under it).
   uint64_t BatchCycles(uint64_t packets) const;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/bytes.h"
 #include "src/common/check.h"
 
 namespace hyperion::mem {
@@ -32,7 +33,7 @@ Result<uint64_t> RangeAllocator::Allocate(uint64_t size) {
 }
 
 Status RangeAllocator::Reserve(uint64_t offset, uint64_t size) {
-  if (size == 0 || offset + size > capacity_) {
+  if (size == 0 || !RangeFits(offset, size, capacity_)) {
     return InvalidArgument("bad reserve range");
   }
   // Find the free range containing [offset, offset+size).
@@ -58,7 +59,7 @@ Status RangeAllocator::Reserve(uint64_t offset, uint64_t size) {
 }
 
 Status RangeAllocator::Free(uint64_t offset, uint64_t size) {
-  if (size == 0 || offset + size > capacity_) {
+  if (size == 0 || !RangeFits(offset, size, capacity_)) {
     return InvalidArgument("bad free range");
   }
   // Find the free range after the one being inserted and its predecessor.

@@ -77,6 +77,10 @@ class ObjectStore {
   uint64_t AccessCount(SegmentId id) const { return table_.AccessCount(id); }
 
   Result<Segment> Describe(SegmentId id) const;
+  // Charges and counts one translation of `id`; null when it is unmapped.
+  // Every access pays one, and so does a probe for whether `id` is mapped.
+  // The pointer is valid until `id` is deleted.
+  const Segment* Translate(SegmentId id);
   size_t SegmentCount() const { return table_.size(); }
 
   // Persists the segment table snapshot to the boot area.
@@ -94,9 +98,6 @@ class ObjectStore {
   Result<Location> PickLocation(uint64_t size, const SegmentHints& hints);
   Result<uint64_t> AllocateIn(Location loc, uint64_t size);
   Status FreeIn(Location loc, uint64_t base, uint64_t size);
-
-  // Charges and counts one translation of `id`; null when it is unmapped.
-  const Segment* Translate(SegmentId id);
 
   Status WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data);
   Status ReadNvme(const Segment& seg, uint64_t offset, MutableByteSpan out);

@@ -114,7 +114,7 @@ Result<SegmentTable> SegmentTable::Deserialize(ByteSpan data) {
     return Unimplemented("unknown segment table version");
   }
   const uint64_t count = reader.ReadU64();
-  if (count * kEntryBytes > reader.remaining()) {
+  if (count > reader.remaining() / kEntryBytes) {
     return DataLoss("segment table snapshot truncated");
   }
   SegmentTable table;
@@ -126,8 +126,8 @@ Result<SegmentTable> SegmentTable::Deserialize(ByteSpan data) {
     seg.location = static_cast<Location>(reader.ReadU8());
     seg.base = reader.ReadU64();
     seg.durable = reader.ReadU8() != 0;
-    if (!reader.Ok()) {
-      return DataLoss("segment table snapshot truncated");
+    if (!reader.Ok() || seg.location > Location::kNvme) {
+      return DataLoss("segment table snapshot entry malformed");
     }
     RETURN_IF_ERROR(table.Insert(seg));
   }

@@ -63,7 +63,6 @@ class Fabric {
   HostId AddHost(std::string name, double link_gbps);
   HostId AddHost(std::string name) { return AddHost(std::move(name), params_.default_link_gbps); }
 
-  size_t HostCount() const { return hosts_.size(); }
   const std::string& HostName(HostId id) const;
 
   // One-way latency for `bytes` from src to dst (pure model, no clock).

@@ -30,7 +30,6 @@ class Histogram {
   // Quantile in [0, 1]; returns an upper bound of the bucket containing it.
   uint64_t Percentile(double q) const;
   uint64_t P50() const { return Percentile(0.50); }
-  uint64_t P90() const { return Percentile(0.90); }
   uint64_t P99() const { return Percentile(0.99); }
   uint64_t P999() const { return Percentile(0.999); }
 

@@ -14,13 +14,11 @@ Bytes KeyBytes(uint64_t key) {
 // the index stays small, values are unbounded.
 constexpr uint8_t kInline = 0x00;
 constexpr uint8_t kIndirect = 0x01;
-// Values above this go indirect (kept under every backend's inline cap).
-constexpr size_t kInlineMax = 200;
+}  // namespace
 
-mem::SegmentId ValueSegment(uint64_t store_id, uint64_t key) {
+mem::SegmentId KvValueSegment(uint64_t store_id, uint64_t key) {
   return mem::SegmentId(0x4B56000000000000ull | store_id, key);
 }
-}  // namespace
 
 std::string_view KvBackendName(KvBackend backend) {
   return backend == KvBackend::kBTree ? "btree" : "hash";
@@ -64,25 +62,24 @@ Status KvStore::IndexDelete(uint64_t key) {
   return hash_->Delete(ByteSpan(kb.data(), kb.size()));
 }
 
-Status KvStore::DropIndirect(uint64_t key) {
-  Result<Bytes> existing = IndexGet(key);
-  if (existing.ok() && !existing->empty() && (*existing)[0] == kIndirect) {
-    Status st = store_->Delete(ValueSegment(store_id_, key));
-    if (!st.ok() && st.code() != StatusCode::kNotFound) {
-      return st;
-    }
-  }
-  return Status::Ok();
-}
-
 Status KvStore::Put(uint64_t key, ByteSpan value) {
-  // Release a stale spilled value (overwrite/resize path).
-  RETURN_IF_ERROR(DropIndirect(key));
+  // The segment table says whether `key` has spilled: one probe, no walk.
+  const mem::SegmentId seg = KvValueSegment(store_id_, key);
+  const mem::Segment* spilled = store_->Translate(seg);
   // The put path's one copy: the value crosses the mutation/durability
   // boundary into the index or its spill segment. Charged so experiment
   // copy-bytes stats cover the whole datapath, not just the buffer layer.
   AccountBufferCopy(value.size());
-  if (value.size() <= kInlineMax) {
+  const bool spill = value.size() > kInlineMax;
+  if (spill && spilled != nullptr && spilled->size == value.size()) {
+    // Same-size overwrite: the value log rewrites in place, and the index
+    // ref [kIndirect][size] would not change, so the index is not touched.
+    return store_->Write(seg, 0, value);
+  }
+  if (spilled != nullptr) {
+    RETURN_IF_ERROR(store_->Delete(seg));
+  }
+  if (!spill) {
     Bytes tagged;
     tagged.reserve(value.size() + 1);
     tagged.push_back(kInline);
@@ -90,13 +87,20 @@ Status KvStore::Put(uint64_t key, ByteSpan value) {
     return IndexPut(key, ByteSpan(tagged.data(), tagged.size()));
   }
   // Spill: the value gets its own durable segment; the index holds a ref.
-  const mem::SegmentId seg = ValueSegment(store_id_, key);
   RETURN_IF_ERROR(store_->CreateWithId(seg, value.size(), {.durable = true}));
-  RETURN_IF_ERROR(store_->Write(seg, 0, value));
   Bytes ref;
   ref.push_back(kIndirect);
   PutU64(ref, value.size());
-  return IndexPut(key, ByteSpan(ref.data(), ref.size()));
+  Status st = store_->Write(seg, 0, value);
+  if (st.ok()) {
+    st = IndexPut(key, ByteSpan(ref.data(), ref.size()));
+  }
+  if (!st.ok()) {
+    // A mapped segment must mean the index holds its ref; otherwise a later
+    // same-size put would rewrite it behind a stale index entry.
+    (void)store_->Delete(seg);
+  }
+  return st;
 }
 
 Result<Buffer> KvStore::Untag(uint64_t key, Bytes tagged) {
@@ -111,7 +115,7 @@ Result<Buffer> KvStore::Untag(uint64_t key, Bytes tagged) {
     return DataLoss("corrupt KV value tag");
   }
   ASSIGN_OR_RETURN(Bytes value,
-                   store_->Read(ValueSegment(store_id_, key), 0, GetU64(tagged, 1)));
+                   store_->Read(KvValueSegment(store_id_, key), 0, GetU64(tagged, 1)));
   return Buffer(std::move(value));
 }
 
@@ -127,7 +131,10 @@ Result<Buffer> KvStore::GetBuffer(uint64_t key) {
 }
 
 Status KvStore::Delete(uint64_t key) {
-  RETURN_IF_ERROR(DropIndirect(key));
+  const mem::SegmentId seg = KvValueSegment(store_id_, key);
+  if (store_->Translate(seg) != nullptr) {
+    RETURN_IF_ERROR(store_->Delete(seg));
+  }
   return IndexDelete(key);
 }
 

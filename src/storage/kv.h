@@ -8,7 +8,11 @@
 // its YCSB mixes across all three. Keys are u64 (KV-SSD style fixed keys); values are
 // byte strings of any size: small values inline in the index, large ones
 // spill into their own durable segments with a reference in the index (the
-// classic KV-SSD value-log split).
+// classic KV-SSD value-log split). The object store's segment table owns
+// spill state: a key has a spilled value exactly when KvValueSegment is
+// mapped, so a put learns it from one translation instead of an index walk,
+// and a same-size overwrite rewrites the segment in place without touching
+// the index.
 
 #ifndef HYPERION_SRC_STORAGE_KV_H_
 #define HYPERION_SRC_STORAGE_KV_H_
@@ -30,8 +34,14 @@ enum class KvBackend { kBTree = 0, kHash = 2 };
 
 std::string_view KvBackendName(KvBackend backend);
 
+// Segment id of the spilled value of `key` in store `store_id`.
+mem::SegmentId KvValueSegment(uint64_t store_id, uint64_t key);
+
 class KvStore {
  public:
+  // Values above this spill (kept under every backend's inline cap).
+  static constexpr size_t kInlineMax = 200;
+
   static Result<KvStore> Create(mem::ObjectStore* store, uint64_t store_id, KvBackend backend);
 
   // The one copy on the put path happens here, at the mutation/durability
@@ -53,8 +63,6 @@ class KvStore {
   Status IndexPut(uint64_t key, ByteSpan tagged);
   Result<Bytes> IndexGet(uint64_t key);
   Status IndexDelete(uint64_t key);
-  // Deletes the spilled value segment for `key`, if one exists.
-  Status DropIndirect(uint64_t key);
   // The one decoder for a tagged index value: an inline value is a slice
   // past the tag, an indirect ref [tag][size u64] is read from its spill
   // segment. DataLoss for an empty value, an unknown tag or a short ref.

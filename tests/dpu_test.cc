@@ -248,6 +248,29 @@ TEST_F(DpuTest, LogServiceOverRpc) {
   EXPECT_EQ(GetU64(tail.payload, 0), 1u);
 }
 
+// A payload too short for its position, prefix or nsid used to run the op
+// on 0: an empty kFill hole-filled log position 0, and an empty kFlush
+// reached the controller as nsid 0 and came back INTERNAL.
+TEST_F(DpuTest, ShortLogAndBlockPayloadsAreInvalidArgument) {
+  BootAndConnect();
+  EXPECT_EQ(Call(ServiceId::kLog, LogOp::kFill, {}).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Call(ServiceId::kLog, LogOp::kTrim, Bytes{1, 2}).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Call(ServiceId::kBlock, BlockOp::kFlush, {}).status.code(),
+            StatusCode::kInvalidArgument);
+  // Position 0 is still free: the next append lands there and reads back.
+  Bytes entry = ToBytes("first");
+  RpcResponse appended = Call(ServiceId::kLog, LogOp::kAppend, entry);
+  ASSERT_TRUE(appended.status.ok());
+  EXPECT_EQ(GetU64(appended.payload, 0), 0u);
+  Bytes read;
+  PutU64(read, 0);
+  RpcResponse got = Call(ServiceId::kLog, LogOp::kRead, read);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.payload, entry);
+}
+
 TEST_F(DpuTest, ControlDeployOverRpc) {
   BootAndConnect();
   auto prog = ebpf::Assemble("mov r0, 99\nexit\n", "remote", 64);

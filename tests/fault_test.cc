@@ -24,11 +24,13 @@
 #include "src/dpu/services.h"
 #include "src/fpga/fabric.h"
 #include "src/fpga/scheduler.h"
+#include "src/mem/object_store.h"
 #include "src/nvme/controller.h"
 #include "src/obs/trace.h"
 #include "src/pcie/dma.h"
 #include "src/pcie/topology.h"
 #include "src/sim/fault.h"
+#include "src/storage/kv.h"
 #include "tests/testutil.h"
 
 namespace hyperion {
@@ -192,6 +194,54 @@ TEST_F(NvmeFaultTest, QueuePairPathSurfacesRawStatus) {
   auto cqe = controller_.Reap(qid);
   ASSERT_TRUE(cqe.has_value());
   EXPECT_EQ(cqe->status, nvme::CmdStatus::kMediaError);
+}
+
+// -- KV: a failed spilled put leaves no orphan value segment ----------------
+
+// The segment table owns KV spill state, so a spilled put whose index write
+// fails must delete the segment it created. An orphan segment behind the
+// old inline entry would make the next same-size put rewrite it in place
+// and leave the index serving the stale inline value.
+TEST_F(NvmeFaultTest, FailedLeafWriteLeavesNoOrphanSpillSegment) {
+  mem::ObjectStoreConfig config;
+  config.dram_bytes = 1u << 20;
+  config.hbm_bytes = 1u << 20;
+  config.nvme_nsid = nsid_;
+  config.boot_area_lbas = 16;
+  mem::ObjectStore store(&engine_, &controller_, config);
+  auto kv = storage::KvStore::Create(&store, 1, storage::KvBackend::kBTree);
+  ASSERT_TRUE(kv.ok());
+  const Bytes old_value(16, 0x11);
+  ASSERT_TRUE(kv->Put(1, ByteSpan(old_value)).ok());
+  // A spilled put of a fresh key has the same command shape as the one
+  // below; its last NVMe command is the B+ tree leaf write.
+  const Bytes spilled(storage::KvStore::kInlineMax + 56, 0x22);
+  auto commands = [&] {
+    return controller_.counters().Get("nvme_reads") + controller_.counters().Get("nvme_writes");
+  };
+  const uint64_t before = commands();
+  ASSERT_TRUE(kv->Put(2, ByteSpan(spilled)).ok());
+  const uint64_t put_commands = commands() - before;
+  ASSERT_GE(put_commands, 2u);
+
+  FaultPlan plan;
+  plan.AtQuery(FaultSite::kNvmeCmdTimeout, /*skip=*/put_commands - 1);
+  sim::FaultInjector injector(&engine_, plan);
+  controller_.SetFaultInjector(&injector);
+  controller_.SetRetryLimit(0);
+  const size_t segments = store.SegmentCount();
+  EXPECT_FALSE(kv->Put(1, ByteSpan(spilled)).ok());
+  EXPECT_EQ(injector.InjectedCount(FaultSite::kNvmeCmdTimeout), 1u);
+  EXPECT_EQ(store.SegmentCount(), segments);
+  EXPECT_FALSE(store.Describe(storage::KvValueSegment(1, 1)).ok());
+  EXPECT_EQ(*kv->Get(1), old_value);  // the leaf never took the new ref
+
+  const Bytes newest(spilled.size(), 0x33);
+  ASSERT_TRUE(kv->Put(1, ByteSpan(newest)).ok());
+  auto got = kv->Get(1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, newest);
+  EXPECT_EQ(store.SegmentCount(), segments + 1);
 }
 
 // -- PCIe: link drops -> retrain + replay ---------------------------------

@@ -207,6 +207,151 @@ TEST(SegmentTableTest, LoadFromEmptyDeviceIsNotFound) {
   EXPECT_EQ(SegmentTable::LoadFrom(&ctrl, ns, 256).status().code(), StatusCode::kNotFound);
 }
 
+// -- SegmentTable::Deserialize fuzz ----------------------------------------
+//
+// The snapshot is durable bytes read back at every boot, and the KV store
+// keeps its spill state in the table, so a corrupt snapshot must decode to a
+// Result error or a well-formed table, never UB (the CI runs this under
+// ASan/UBSan).
+
+// Snapshot layout: magic u32, version u32, count u64, then 34-byte entries
+// (id hi/lo, size, location u8, base, durable u8), then crc32c.
+constexpr size_t kSnapHeader = 16;
+constexpr size_t kSnapEntry = 34;
+
+Bytes RandomSnapshot(Rng& rng) {
+  SegmentTable table;
+  const uint64_t count = rng.Uniform(12);
+  for (uint64_t i = 0; i < count; ++i) {
+    Segment seg;
+    seg.id = U128(rng.Uniform(4), rng.Next());
+    seg.size = 1 + rng.Uniform(1 << 20);
+    seg.location = static_cast<Location>(rng.Uniform(3));
+    seg.base = rng.Uniform(1 << 24);
+    seg.durable = rng.Bernoulli(0.5);
+    CHECK_OK(table.Insert(seg));
+  }
+  return table.Serialize();
+}
+
+// Recomputes the trailing checksum, so a mutation reaches the decoder.
+void Reseal(Bytes& snap) {
+  const size_t body = snap.size() - 4;
+  const uint32_t crc = Crc32c(ByteSpan(snap.data(), body));
+  for (int b = 0; b < 4; ++b) {
+    snap[body + b] = static_cast<uint8_t>(crc >> (8 * b));
+  }
+}
+
+void PutU64At(Bytes& snap, size_t at, uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    snap[at + b] = static_cast<uint8_t>(value >> (8 * b));
+  }
+}
+
+// Decodes `snap`: an error, or a table whose every entry is one the
+// in-memory table could hold.
+void JudgeSnapshot(const Bytes& snap) {
+  Result<SegmentTable> table = SegmentTable::Deserialize(ByteSpan(snap));
+  if (!table.ok()) {
+    return;
+  }
+  for (const Segment& seg : table->Entries()) {
+    EXPECT_GT(seg.size, 0u);
+    EXPECT_LE(static_cast<uint8_t>(seg.location), static_cast<uint8_t>(Location::kNvme));
+  }
+}
+
+TEST(SegmentTableFuzz, ByteFlipsAreDataLoss) {
+  Rng rng(0x5e670001);
+  for (int iter = 0; iter < 5000; ++iter) {
+    const Bytes original = RandomSnapshot(rng);
+    Bytes snap = original;
+    const uint64_t flips = 1 + rng.Uniform(4);
+    for (uint64_t f = 0; f < flips; ++f) {
+      snap[rng.Uniform(snap.size())] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+    }
+    if (snap == original) {
+      continue;  // two flips of one byte cancelled out
+    }
+    EXPECT_EQ(SegmentTable::Deserialize(ByteSpan(snap)).status().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(SegmentTableFuzz, TruncationsAreDataLoss) {
+  Rng rng(0x5e670002);
+  for (int seed = 0; seed < 16; ++seed) {
+    const Bytes snap = RandomSnapshot(rng);
+    for (size_t len = 0; len < snap.size(); ++len) {
+      EXPECT_EQ(SegmentTable::Deserialize(ByteSpan(snap.data(), len)).status().code(),
+                StatusCode::kDataLoss)
+          << "prefix " << len << " of " << snap.size();
+    }
+  }
+}
+
+TEST(SegmentTableFuzz, ValidChecksumMutationsAreErrorsOrWellFormedTables) {
+  Rng rng(0x5e670003);
+  const uint64_t wide[] = {0, 1, 33, 34, 35, 0xffff, 1ull << 32, 0x0787878787878788ull,
+                           ~0ull / kSnapEntry + 1, ~0ull};
+  for (int iter = 0; iter < 20000; ++iter) {
+    Bytes snap = RandomSnapshot(rng);
+    const size_t count = (snap.size() - kSnapHeader - 4) / kSnapEntry;
+    const size_t entry = kSnapHeader + kSnapEntry * (count == 0 ? 0 : rng.Uniform(count));
+    const bool has_entry = count > 0;
+    switch (rng.Uniform(7)) {
+      case 0:  // the entry count: small, one off, or wrapping when multiplied
+        PutU64At(snap, 8, rng.Bernoulli(0.5) ? wide[rng.Uniform(std::size(wide))]
+                                              : count + rng.Uniform(3) - 1);
+        break;
+      case 1:  // magic and version
+        snap[rng.Uniform(8)] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+        break;
+      case 2:  // size: zero, wrapping, or anything
+        if (has_entry) {
+          PutU64At(snap, entry + 16, wide[rng.Uniform(std::size(wide))]);
+        }
+        break;
+      case 3:  // location and durable bytes
+        if (has_entry) {
+          snap[entry + 24] = static_cast<uint8_t>(rng.Next());
+          snap[entry + 33] = static_cast<uint8_t>(rng.Next());
+        }
+        break;
+      case 4:  // a duplicate id
+        if (count > 1) {
+          std::copy_n(snap.begin() + kSnapHeader, 16, snap.begin() + kSnapHeader + kSnapEntry);
+        }
+        break;
+      case 5:  // trailing or missing bytes before the checksum
+        if (rng.Bernoulli(0.5)) {
+          snap.insert(snap.end() - 4, 1 + rng.Uniform(40), 0x5a);
+        } else if (snap.size() > kSnapHeader + 4) {
+          const size_t cut = 1 + rng.Uniform(std::min<size_t>(40, snap.size() - 20));
+          snap.erase(snap.end() - 4 - static_cast<ptrdiff_t>(cut), snap.end() - 4);
+        }
+        break;
+      default:  // any byte
+        snap[rng.Uniform(snap.size() - 4)] = static_cast<uint8_t>(rng.Next());
+        break;
+    }
+    Reseal(snap);
+    JudgeSnapshot(snap);
+  }
+}
+
+TEST(SegmentTableFuzz, BadLocationIsDataLoss) {
+  SegmentTable table;
+  Segment seg;
+  seg.id = U128(1, 1);
+  seg.size = 64;
+  ASSERT_TRUE(table.Insert(seg).ok());
+  Bytes snap = table.Serialize();
+  snap[kSnapHeader + 24] = 3;  // one past kNvme
+  Reseal(snap);
+  EXPECT_EQ(SegmentTable::Deserialize(ByteSpan(snap)).status().code(), StatusCode::kDataLoss);
+}
+
 // -- DramDevice ------------------------------------------------------------
 
 constexpr uint64_t kHostPage = 4096;
@@ -441,6 +586,53 @@ TEST_F(ObjectStoreTest, RecoveredIdReuseStartsWithZeroAccessCount) {
   ASSERT_EQ(*reused, *ephemeral);
   EXPECT_EQ(store_->AccessCount(*reused), 0u);
   EXPECT_EQ(store_->AccessCount(*durable), 0u);  // counts are volatile
+}
+
+// A recovered NVMe entry whose base lay inside the boot area made
+// RangeAllocator::Reserve wrap its bounds check and accept it, corrupting
+// the flash allocator. Planted snapshots (valid checksums) must fail
+// Recover or recover only in-tier, disjoint segments that later creations
+// never overlap.
+TEST_F(ObjectStoreTest, RecoveredSegmentsStayInTheFlashTier) {
+  const uint64_t boot = ObjectStoreConfig().boot_area_lbas;
+  const uint64_t lbas = 16384;
+  auto lbas_of = [](uint64_t size) {
+    return size / nvme::kLbaSize + (size % nvme::kLbaSize != 0 ? 1 : 0);
+  };
+  Rng rng(0x5e670004);
+  for (int iter = 0; iter < 2000; ++iter) {
+    SegmentTable table;
+    const uint64_t count = 1 + rng.Uniform(6);
+    for (uint64_t i = 0; i < count; ++i) {
+      const uint64_t bases[] = {0, boot - 1, boot, boot + rng.Uniform(lbas - boot), lbas - 1,
+                                ~0ull - rng.Uniform(4)};
+      const uint64_t sizes[] = {1, 4096, 1 + rng.Uniform(1 << 20), ~0ull - rng.Uniform(8192)};
+      Segment seg;
+      seg.id = U128(0xC0FFEEull, 1 + i);
+      seg.location = Location::kNvme;
+      seg.durable = true;
+      seg.base = iter == 0 ? boot - 1 : bases[rng.Uniform(std::size(bases))];
+      seg.size = iter == 0 ? 4096 : sizes[rng.Uniform(std::size(sizes))];
+      ASSERT_TRUE(table.Insert(seg).ok());
+    }
+    ASSERT_TRUE(table.PersistTo(&ctrl_, nsid_, boot).ok());
+    Result<uint64_t> recovered = store_->Recover();
+    if (iter == 0) {
+      EXPECT_FALSE(recovered.ok());  // the boot-area regression
+    }
+    if (!recovered.ok()) {
+      continue;
+    }
+    auto fresh = store_->Create(4096, {.durable = true});
+    ASSERT_TRUE(fresh.ok());
+    const uint64_t fresh_base = store_->Describe(*fresh)->base;
+    for (const Segment& seg : table.Entries()) {
+      ASSERT_GE(seg.base, boot);
+      ASSERT_TRUE(RangeFits(seg.base, lbas_of(seg.size), lbas));
+      EXPECT_TRUE(fresh_base + 1 <= seg.base || seg.base + lbas_of(seg.size) <= fresh_base);
+      EXPECT_TRUE(store_->Read(seg.id, 0, 1).ok());
+    }
+  }
 }
 
 TEST_F(ObjectStoreTest, AccessCountsFollowTranslations) {

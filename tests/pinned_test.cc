@@ -41,7 +41,7 @@ TEST(PinnedResult, KvCluster) {
     d.Add({node.node_clock_ns, node.rpcs_served, node.ok_ops, node.failed_ops});
   }
   EXPECT_EQ(r.failed_ops, 0u);
-  EXPECT_EQ(d.value, 0x63ab10cf54436215ull) << std::hex << d.value;
+  EXPECT_EQ(d.value, 0x75af5b95bcbdf11eull) << std::hex << d.value;
 }
 
 TEST(PinnedResult, ReplicatedKvCluster) {
@@ -67,7 +67,7 @@ TEST(PinnedResult, ReplicatedKvCluster) {
   }
   EXPECT_EQ(r.killed_nodes, 1u);
   EXPECT_TRUE(audit.ok());
-  EXPECT_EQ(d.value, 0x55f9ca8b2360f81eull) << std::hex << d.value;
+  EXPECT_EQ(d.value, 0xdaa3d30d5dab11bdull) << std::hex << d.value;
 }
 
 TEST(PinnedResult, OverloadCluster) {

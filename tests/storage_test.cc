@@ -1019,6 +1019,119 @@ TEST_P(KvParamTest, LargeValuesSpillToSegments) {
   EXPECT_FALSE(kv->Get(6).ok());
 }
 
+// The segment table owns spill state: after every put and delete the value
+// segment is mapped exactly when the newest value is over kInlineMax. A
+// same-size spilled overwrite is one probe plus the in-place write: no
+// index access and no segment created or deleted.
+TEST_P(KvParamTest, PutStateTransitionsKeepSpillStateInTheSegmentTable) {
+  const uint64_t store_id = 80 + static_cast<uint64_t>(GetParam());
+  auto kv = KvStore::Create(store_.get(), store_id, GetParam());
+  ASSERT_TRUE(kv.ok());
+  constexpr uint64_t kKey = 7;
+  const mem::SegmentId seg = KvValueSegment(store_id, kKey);
+  const mem::SegmentId root = BPlusNodeSegment(store_id, 1);  // btree: the one leaf
+  constexpr size_t kSpill = KvStore::kInlineMax + 56;  // 256 B, kv_fleet's size
+  struct Step {
+    const char* name;
+    size_t size;  // 0: delete
+    uint64_t created;
+  };
+  const Step steps[] = {
+      {"absent->inline", 16, 0},
+      {"delete inline", 0, 0},
+      {"absent->spill", kSpill, 1},
+      {"spill->same-size spill", kSpill, 0},
+      {"spill->other-size spill", kSpill + 300, 1},
+      {"spill->inline", KvStore::kInlineMax, 0},
+      {"inline->spill", kSpill, 1},
+      {"spill->same-size spill again", kSpill, 0},
+      {"delete spill", 0, 0},
+  };
+  bool mapped = false;
+  size_t last_size = 0;
+  for (size_t i = 0; i < std::size(steps); ++i) {
+    const Step& step = steps[i];
+    SCOPED_TRACE(step.name);
+    const uint64_t translations = store_->counters().Get("translations");
+    const uint64_t created = store_->counters().Get("segments_created");
+    const uint64_t root_reads = store_->AccessCount(root);
+    const size_t segments = store_->SegmentCount();
+    Bytes value(step.size, static_cast<uint8_t>(0xa0 + i));
+    if (step.size == 0) {
+      ASSERT_TRUE(kv->Delete(kKey).ok());
+    } else {
+      ASSERT_TRUE(kv->Put(kKey, ByteSpan(value)).ok());
+    }
+    const bool now_mapped = step.size > KvStore::kInlineMax;
+    const uint64_t step_translations = store_->counters().Get("translations") - translations;
+    if (step.size == last_size && now_mapped) {
+      EXPECT_EQ(step_translations, 2u);  // the probe and the in-place write
+      if (GetParam() == KvBackend::kBTree) {
+        EXPECT_EQ(store_->AccessCount(root), root_reads);  // no node read or write
+      }
+    } else {
+      EXPECT_GT(step_translations, 2u);  // the index was walked
+    }
+    EXPECT_EQ(store_->counters().Get("segments_created") - created, step.created);
+    EXPECT_EQ(store_->SegmentCount() - segments, static_cast<size_t>(now_mapped) -
+                                                     static_cast<size_t>(mapped));
+    auto described = store_->Describe(seg);
+    ASSERT_EQ(described.ok(), now_mapped);
+    if (now_mapped) {
+      EXPECT_EQ(described->size, step.size);
+    }
+    auto got = kv->Get(kKey);
+    if (step.size == 0) {
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+    } else {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, value);
+    }
+    mapped = now_mapped;
+    last_size = step.size;
+  }
+}
+
+// Random puts and deletes with value sizes straddling kInlineMax, checked
+// against std::map and against the mapped-iff-spilled invariant.
+TEST_P(KvParamTest, SpillBoundaryPropertyMatchesStdMap) {
+  const uint64_t store_id = 90 + static_cast<uint64_t>(GetParam());
+  auto kv = KvStore::Create(store_.get(), store_id, GetParam());
+  ASSERT_TRUE(kv.ok());
+  Rng rng(0x5b111);
+  std::map<uint64_t, Bytes> model;
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t key = rng.Uniform(48);
+    if (rng.Uniform(8) == 0) {
+      const Status st = kv->Delete(key);
+      EXPECT_EQ(st.ok(), model.erase(key) == 1) << st.ToString();
+    } else {
+      // Sizes in [180, 220]: about half inline, half spilled, many repeats.
+      Bytes value(180 + rng.Uniform(41));
+      for (uint8_t& b : value) {
+        b = static_cast<uint8_t>(rng.Next());
+      }
+      ASSERT_TRUE(kv->Put(key, ByteSpan(value)).ok()) << op;
+      auto got = kv->Get(key);
+      ASSERT_TRUE(got.ok()) << op;
+      EXPECT_EQ(*got, value) << op;
+      model[key] = std::move(value);
+    }
+  }
+  for (uint64_t key = 0; key < 48; ++key) {
+    auto it = model.find(key);
+    auto got = kv->Get(key);
+    const bool spilled = it != model.end() && it->second.size() > KvStore::kInlineMax;
+    EXPECT_EQ(store_->Describe(KvValueSegment(store_id, key)).ok(), spilled) << key;
+    if (it == model.end()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << key;
+    } else {
+      ASSERT_TRUE(got.ok()) << key;
+      EXPECT_EQ(*got, it->second) << key;
+    }
+  }
+}
+
 TEST_F(StorageTest, KvScanMaterializesSpilledValues) {
   auto kv = KvStore::Create(store_.get(), 70, KvBackend::kBTree);
   ASSERT_TRUE(kv.ok());
